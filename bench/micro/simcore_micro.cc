@@ -1,8 +1,8 @@
 /**
  * @file
  * Hot-path micro-benchmarks (google-benchmark) for the pooled/flat
- * simulator core: the calendar EventQueue's POD and lambda scheduling
- * paths, the intrusive index-linked ResidencyTracker, the
+ * simulator core: the heap-ordered EventQueue's schedule, fire and
+ * deschedule paths, the intrusive index-linked ResidencyTracker, the
  * implicit-heap LargePageTree walks, and the rewritten L2 tag store
  * and open-addressing TLB.  Companion to bench/micro_components.cc;
  * these isolate the operations the hot-path overhaul targeted so a
@@ -34,7 +34,7 @@ podNop(void *, std::uint64_t)
 {
 }
 
-/** The POD fast path: one arena record, no virtual dispatch setup. */
+/** Schedule and fire: one arena record and one heap key per event. */
 void
 BM_EventSchedulePodFire(benchmark::State &state)
 {
@@ -50,25 +50,7 @@ BM_EventSchedulePodFire(benchmark::State &state)
 }
 BENCHMARK(BM_EventSchedulePodFire);
 
-/** The generic path: lambda construction plus ops-table dispatch. */
-void
-BM_EventScheduleLambdaFire(benchmark::State &state)
-{
-    EventQueue eq;
-    const int batch = 256;
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        Tick now = eq.curTick();
-        for (int i = 0; i < batch; ++i)
-            eq.schedule(now + 1 + (i % 7), [&sink, i] { sink += i; });
-        eq.run();
-    }
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_EventScheduleLambdaFire);
-
-/** Schedule/deschedule churn: arena slot reuse and bucket unlinking. */
+/** Schedule/deschedule churn: lazy reclaim of cancelled slots. */
 void
 BM_EventDescheduleChurn(benchmark::State &state)
 {
@@ -87,9 +69,9 @@ BM_EventDescheduleChurn(benchmark::State &state)
 }
 BENCHMARK(BM_EventDescheduleChurn);
 
-/** Wide tick spread: forces calendar width rebuilds and lap scans. */
+/** Wide tick spread: delays from 1 tick up to 2^24 ticks. */
 void
-BM_EventCalendarSpread(benchmark::State &state)
+BM_EventWideSpread(benchmark::State &state)
 {
     const int batch = 512;
     Rng rng(7);
@@ -104,7 +86,7 @@ BM_EventCalendarSpread(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_EventCalendarSpread);
+BENCHMARK(BM_EventWideSpread);
 
 /** Resident/evict churn through the intrusive arenas. */
 void

@@ -2,8 +2,9 @@
  * @file
  * Component micro-benchmarks (google-benchmark): throughput of the
  * hot data structures -- tree balancing, the hierarchical LRU, the
- * page table, the event queue, and the PCI-e timing model.  These are
- * regression guards for simulator performance, not paper artifacts.
+ * page table, and the PCI-e timing model (the event queue's benches
+ * live in simcore_micro.cc).  These are regression guards for
+ * simulator performance, not paper artifacts.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,7 +13,6 @@
 #include "core/residency_tracker.hh"
 #include "interconnect/bandwidth_model.hh"
 #include "mem/page_table.hh"
-#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
 namespace uvmsim
@@ -104,18 +104,6 @@ BM_PageTableChurn(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PageTableChurn);
-
-void
-BM_EventQueueScheduleRun(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue eq;
-        for (int i = 0; i < 1000; ++i)
-            eq.schedule(static_cast<Tick>(1000 - i), [] {});
-        eq.run();
-    }
-}
-BENCHMARK(BM_EventQueueScheduleRun);
 
 void
 BM_BandwidthLookup(benchmark::State &state)

@@ -317,11 +317,11 @@ Gmmu::kickFaultEngine()
         return;
 
     engine_busy_ = true;
-    std::vector<PageNum> batch;
+    service_batch_.clear();
     std::uint32_t batch_size = std::max<std::uint32_t>(
         1, config_.fault_batch_size);
-    while (!queue->empty() && batch.size() < batch_size) {
-        batch.push_back(queue->front());
+    while (!queue->empty() && service_batch_.size() < batch_size) {
+        service_batch_.push_back(queue->front());
         queue->pop_front();
     }
 
@@ -334,18 +334,22 @@ Gmmu::kickFaultEngine()
     }
     emit(trace::Event{trace::Kind::faultService, trace::Category::fault,
                       "fault_service", eq_.curTick(), latency,
-                      batch.size(), 0, batch.front()},
-         batch.front());
-    eq_.scheduleAfter(latency, [this, batch = std::move(batch)]() {
-        serviceBatch(batch);
-    });
+                      service_batch_.size(), 0, service_batch_.front()},
+         service_batch_.front());
+    eq_.scheduleCallAfter(latency, &Gmmu::serviceBatchThunk, this, 0);
 }
 
 void
-Gmmu::serviceBatch(const std::vector<PageNum> &batch)
+Gmmu::serviceBatchThunk(void *gmmu, std::uint64_t)
+{
+    static_cast<Gmmu *>(gmmu)->serviceBatch();
+}
+
+void
+Gmmu::serviceBatch()
 {
     ++fault_services_;
-    for (PageNum page : batch)
+    for (PageNum page : service_batch_)
         serviceFault(page);
     audit("fault-service");
     engine_busy_ = false;

@@ -290,8 +290,11 @@ class Gmmu
      *  idle. */
     void kickFaultEngine();
 
+    /** POD event thunk for serviceBatch(). */
+    static void serviceBatchThunk(void *gmmu, std::uint64_t);
+
     /** Runs fault_handling_latency after a batch service began. */
-    void serviceBatch(const std::vector<PageNum> &batch);
+    void serviceBatch();
 
     /** Handle one faulting page of a batch. */
     void serviceFault(PageNum page);
@@ -396,6 +399,8 @@ class Gmmu
     std::vector<std::deque<PageNum>> fault_queues_;
     TenantId fault_rr_ = 0;
     bool engine_busy_ = false;
+    /** The batch in service; the engine holds at most one at a time. */
+    std::vector<PageNum> service_batch_;
 
     std::vector<WalkRequest> walks_;
     std::uint32_t walk_free_ = ~std::uint32_t{0};

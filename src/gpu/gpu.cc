@@ -63,12 +63,18 @@ Gpu::launch(Kernel &kernel, std::function<void()> on_done)
     std::uint64_t seq = launch->seq;
     launches_.push_back(std::move(launch));
 
-    eq_.scheduleAfter(config_.kernel_launch_overhead, [this, seq]() {
-        if (Launch *ln = findLaunch(seq))
-            ln->started = true;
-        dispatch();
-        checkLaunchDone(seq);
-    });
+    eq_.scheduleCallAfter(config_.kernel_launch_overhead,
+                          &Gpu::launchStartThunk, this, seq);
+}
+
+void
+Gpu::launchStartThunk(void *gpu, std::uint64_t seq)
+{
+    auto *self = static_cast<Gpu *>(gpu);
+    if (Launch *ln = self->findLaunch(seq))
+        ln->started = true;
+    self->dispatch();
+    self->checkLaunchDone(seq);
 }
 
 void

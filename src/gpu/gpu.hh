@@ -100,6 +100,9 @@ class Gpu
         Tick start = 0;
     };
 
+    /** POD event thunk: the launch overhead of launch `seq` elapsed. */
+    static void launchStartThunk(void *gpu, std::uint64_t seq);
+
     /** Fill SMs from the live launches' block streams. */
     void dispatch();
 

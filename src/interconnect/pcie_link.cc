@@ -64,14 +64,14 @@ PcieLink::transfer(PcieDir dir, std::uint64_t bytes, Callback cb)
         tracer_->record(trace::Event{
             trace::Kind::pcieTransfer, trace::Category::pcie,
             h2d ? "pcie.h2d" : "pcie.d2h", start, latency,
-            bytes / pageSize, bytes, ch.outstanding, h2d ? 0u : 1u});
+            bytes / pageSize, bytes, ch.in_flight.size(), h2d ? 0u : 1u});
     }
 
     ch.free_at = done;
     ch.bytes += bytes;
     ch.transfers += 1;
     ch.busy += latency;
-    ch.outstanding += 1;
+    ch.in_flight.push_back(std::move(cb));
 
     if (dir == PcieDir::hostToDevice) {
         ++h2d_transfers_;
@@ -83,12 +83,22 @@ PcieLink::transfer(PcieDir dir, std::uint64_t bytes, Callback cb)
         d2h_size_hist_.sample(static_cast<double>(bytes));
     }
 
-    eq_.schedule(done, [this, dir, cb = std::move(cb)]() {
-        channel(dir).outstanding -= 1;
-        if (cb)
-            cb();
-    });
+    eq_.scheduleCall(done, &PcieLink::arriveThunk, this,
+                     static_cast<std::uint64_t>(dir));
     return done;
+}
+
+void
+PcieLink::arriveThunk(void *link, std::uint64_t dir)
+{
+    // Pop before running: the callback may start a transfer on this
+    // channel.
+    Channel &ch = static_cast<PcieLink *>(link)->channel(
+        static_cast<PcieDir>(dir));
+    Callback cb = std::move(ch.in_flight.front());
+    ch.in_flight.pop_front();
+    if (cb)
+        cb();
 }
 
 Tick
@@ -112,7 +122,7 @@ PcieLink::transferCount(PcieDir dir) const
 std::uint64_t
 PcieLink::outstandingTransfers(PcieDir dir) const
 {
-    return channel(dir).outstanding;
+    return channel(dir).in_flight.size();
 }
 
 Tick

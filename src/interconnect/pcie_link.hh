@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 
 #include "interconnect/bandwidth_model.hh"
@@ -90,12 +91,19 @@ class PcieLink
         std::uint64_t bytes = 0;
         std::uint64_t transfers = 0;
         Tick busy = 0;
-        /** Transfers scheduled but not yet landed (queue depth). */
-        std::uint64_t outstanding = 0;
+        /**
+         * Completion callbacks of transfers scheduled but not yet
+         * landed, oldest first; the channel serializes its transfers,
+         * so they land in this order.
+         */
+        std::deque<Callback> in_flight;
     };
 
     Channel &channel(PcieDir dir);
     const Channel &channel(PcieDir dir) const;
+
+    /** POD event thunk: the oldest transfer on channel `dir` landed. */
+    static void arriveThunk(void *link, std::uint64_t dir);
 
     EventQueue &eq_;
     PcieBandwidthModel model_;

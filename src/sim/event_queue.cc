@@ -1,112 +1,49 @@
 #include "event_queue.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "sim/logging.hh"
 
 namespace uvmsim
 {
 
-namespace
+EventQueue::EventId
+EventQueue::scheduleCall(Tick when, Fn fn, void *ctx, std::uint64_t arg)
 {
+    if (when < cur_tick_) {
+        panic("event scheduled in the past (when=%llu cur=%llu)",
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(cur_tick_));
+    }
 
-/** Initial calendar geometry: 64 buckets of 1024 ticks (~1ns). */
-constexpr std::size_t initialBuckets = 64;
-constexpr unsigned initialLog2Width = 10;
-
-/** Widest bucket considered: 2^44 ticks (~17.6 simulated seconds). */
-constexpr unsigned maxLog2Width = 44;
-
-} // namespace
-
-EventQueue::EventQueue()
-{
-    buckets_.assign(initialBuckets, npos);
-}
-
-std::uint32_t
-EventQueue::allocRec()
-{
-    if (free_head_ != npos) {
-        std::uint32_t slot = free_head_;
+    std::uint32_t slot = free_head_;
+    if (slot != npos) {
         free_head_ = arena_[slot].next;
-        return slot;
+    } else {
+        slot = static_cast<std::uint32_t>(arena_.size());
+        arena_.emplace_back();
     }
-    arena_.emplace_back();
-    return static_cast<std::uint32_t>(arena_.size() - 1);
-}
-
-void
-EventQueue::freeRec(std::uint32_t slot)
-{
     Rec &rec = arena_[slot];
-    rec.cb.reset();
-    rec.live = false;
-    ++rec.gen; // stale EventIds must stop resolving
-    rec.next = free_head_;
-    free_head_ = slot;
-}
-
-void
-EventQueue::linkIntoBucket(std::uint32_t slot)
-{
-    std::uint32_t *link = &buckets_[bucketOf(arena_[slot].when)];
-    while (*link != npos && firesBefore(arena_[*link], arena_[slot]))
-        link = &arena_[*link].next;
-    arena_[slot].next = *link;
-    *link = slot;
-}
-
-EventQueue::EventId
-EventQueue::schedule(Tick when, int priority, Callback cb)
-{
-    if (when < cur_tick_) {
-        panic("event scheduled in the past (when=%llu cur=%llu)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(cur_tick_));
-    }
-    if (!cb)
-        panic("event scheduled with empty callback");
-
-    std::uint32_t slot = allocRec();
-    Rec &rec = arena_[slot];
-    rec.when = when;
-    rec.seq = next_seq_++;
-    rec.cb = std::move(cb);
-    rec.priority = priority;
+    rec.fn = fn;
+    rec.ctx = ctx;
+    rec.arg = arg;
     rec.live = true;
-    linkIntoBucket(slot);
     ++live_;
 
-    EventId id = (static_cast<EventId>(slot) + 1) << 32 | arena_[slot].gen;
-    maybeResize();
-    return id;
-}
-
-EventQueue::EventId
-EventQueue::scheduleCall(Tick when, EventCallback::PodFn fn, void *ctx,
-                         std::uint64_t arg)
-{
-    if (when < cur_tick_) {
-        panic("event scheduled in the past (when=%llu cur=%llu)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(cur_tick_));
+    // Sift the new key up from a hole at the end.
+    const Key key{when, next_seq_++, slot};
+    std::size_t i = heap_.size();
+    heap_.emplace_back();
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 4;
+        if (!firesBefore(key, heap_[parent]))
+            break;
+        heap_[i] = heap_[parent];
+        i = parent;
     }
+    heap_[i] = key;
 
-    std::uint32_t slot = allocRec();
-    Rec &rec = arena_[slot];
-    rec.when = when;
-    rec.seq = next_seq_++;
-    rec.cb.emplacePod(fn, ctx, arg);
-    rec.priority = defaultPriority;
-    rec.live = true;
-    linkIntoBucket(slot);
-    ++live_;
-
-    EventId id = (static_cast<EventId>(slot) + 1) << 32 | arena_[slot].gen;
-    maybeResize();
-    return id;
+    return (static_cast<EventId>(slot) + 1) << 32 | rec.gen;
 }
 
 bool
@@ -115,156 +52,97 @@ EventQueue::deschedule(EventId id)
     if (id == invalidEventId)
         return false;
     std::uint64_t slot64 = (id >> 32) - 1;
-    std::uint32_t gen = static_cast<std::uint32_t>(id);
     if (slot64 >= arena_.size())
         return false;
-    std::uint32_t slot = static_cast<std::uint32_t>(slot64);
-    Rec &rec = arena_[slot];
-    if (!rec.live || rec.gen != gen)
+    Rec &rec = arena_[slot64];
+    if (!rec.live || rec.gen != static_cast<std::uint32_t>(id))
         return false;
 
-    // Unlink from the (short) bucket chain.
-    std::uint32_t *link = &buckets_[bucketOf(rec.when)];
-    while (*link != slot)
-        link = &arena_[*link].next;
-    *link = rec.next;
-
-    freeRec(slot);
+    // The key stays in the heap; fireNext() reclaims the slot when the
+    // key reaches the top.
+    rec.live = false;
+    ++rec.gen; // stale EventIds must stop resolving
     --live_;
     return true;
-}
-
-std::uint32_t
-EventQueue::findNext(std::uint32_t *prev_out, std::size_t *bucket_out) const
-{
-    if (live_ == 0)
-        return npos;
-
-    // Lap scan: walk buckets forward from the current epoch; the first
-    // bucket whose head falls inside its current-lap window holds the
-    // earliest event (heads are bucket minima, one epoch maps to
-    // exactly one bucket).
-    const std::size_t nbuckets = buckets_.size();
-    const std::uint64_t cur_epoch = cur_tick_ >> log2_width_;
-    for (std::size_t k = 0; k < nbuckets; ++k) {
-        const std::uint64_t epoch = cur_epoch + k;
-        const std::size_t b =
-            static_cast<std::size_t>(epoch) & (nbuckets - 1);
-        const std::uint32_t head = buckets_[b];
-        if (head != npos && (arena_[head].when >> log2_width_) == epoch) {
-            *prev_out = npos;
-            *bucket_out = b;
-            return head;
-        }
-    }
-
-    // Everything lies at least a full lap ahead: take the minimum over
-    // all bucket heads directly.
-    std::uint32_t best = npos;
-    std::size_t best_bucket = 0;
-    for (std::size_t b = 0; b < nbuckets; ++b) {
-        const std::uint32_t head = buckets_[b];
-        if (head == npos)
-            continue;
-        if (best == npos || firesBefore(arena_[head], arena_[best])) {
-            best = head;
-            best_bucket = b;
-        }
-    }
-    *prev_out = npos;
-    *bucket_out = best_bucket;
-    return best;
 }
 
 void
-EventQueue::fire(std::uint32_t slot, std::uint32_t prev, std::size_t bucket)
+EventQueue::popTop()
 {
-    // Unlink; located records are always chain heads today, but accept
-    // any predecessor so fire() stays correct if that changes.
-    if (prev == npos)
-        buckets_[bucket] = arena_[slot].next;
-    else
-        arena_[prev].next = arena_[slot].next;
+    const Key last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0)
+        return;
 
-    const Tick when = arena_[slot].when;
-    Callback cb = std::move(arena_[slot].cb);
-    freeRec(slot);
-    --live_;
-
-    cur_tick_ = when;
-    ++executed_;
-    // The callback may schedule new events and reallocate the arena;
-    // no references into it may be held across this call.
-    cb();
+    // Sift the former last key down from a hole at the root.  A full
+    // family of four picks its minimum by a two-round tournament whose
+    // outcomes index the array instead of branching.
+    std::size_t i = 0;
+    for (;;) {
+        const std::size_t first = 4 * i + 1;
+        std::size_t best = first;
+        if (first + 3 < n) {
+            const Key *c = &heap_[first];
+            const std::size_t lo = firesBefore(c[1], c[0]);
+            const std::size_t hi = 2 + firesBefore(c[3], c[2]);
+            best += firesBefore(c[hi], c[lo]) ? hi : lo;
+        } else if (first < n) {
+            for (std::size_t c = first + 1; c < n; ++c) {
+                if (firesBefore(heap_[c], heap_[best]))
+                    best = c;
+            }
+        } else {
+            break;
+        }
+        if (!firesBefore(heap_[best], last))
+            break;
+        heap_[i] = heap_[best];
+        i = best;
+    }
+    heap_[i] = last;
 }
 
 bool
-EventQueue::runOne()
+EventQueue::fireNext(Tick limit)
 {
-    std::uint32_t prev = npos;
-    std::size_t bucket = 0;
-    std::uint32_t slot = findNext(&prev, &bucket);
-    if (slot == npos)
-        return false;
-    fire(slot, prev, bucket);
-    return true;
+    while (!heap_.empty()) {
+        const Key top = heap_.front();
+        Rec &rec = arena_[top.slot];
+        if (!rec.live) {
+            popTop(); // cancelled: reclaim lazily
+            release(top.slot);
+            continue;
+        }
+        if (top.when > limit)
+            return false;
+
+        popTop();
+        const Fn fn = rec.fn;
+        void *const ctx = rec.ctx;
+        const std::uint64_t arg = rec.arg;
+        rec.live = false;
+        ++rec.gen;
+        release(top.slot);
+        --live_;
+
+        cur_tick_ = top.when;
+        ++executed_;
+        // The callback may schedule new events and reallocate the
+        // arena; no references into it may be held across this call.
+        fn(ctx, arg);
+        return true;
+    }
+    return false;
 }
 
 std::uint64_t
 EventQueue::run(Tick limit)
 {
     std::uint64_t count = 0;
-    for (;;) {
-        std::uint32_t prev = npos;
-        std::size_t bucket = 0;
-        std::uint32_t slot = findNext(&prev, &bucket);
-        if (slot == npos || arena_[slot].when > limit)
-            break;
-        fire(slot, prev, bucket);
+    while (fireNext(limit))
         ++count;
-    }
     return count;
-}
-
-void
-EventQueue::maybeResize()
-{
-    const std::size_t nbuckets = buckets_.size();
-    if (live_ > nbuckets * 2)
-        rebuild(nbuckets * 2);
-    else if (nbuckets > initialBuckets && live_ < nbuckets / 8)
-        rebuild(nbuckets / 2);
-}
-
-void
-EventQueue::rebuild(std::size_t nbuckets)
-{
-    // Re-derive the bucket width from the live span so that the
-    // average occupancy stays O(1): width = span / count, rounded to a
-    // power of two.  Deterministic -- a function of queue contents
-    // only.
-    Tick min_when = maxTick;
-    Tick max_when = 0;
-    for (const Rec &rec : arena_) {
-        if (!rec.live)
-            continue;
-        min_when = std::min(min_when, rec.when);
-        max_when = std::max(max_when, rec.when);
-    }
-    if (live_ > 0) {
-        const Tick span = max_when - min_when;
-        const Tick per_bucket = span / live_ + 1;
-        log2_width_ = std::min(
-            maxLog2Width,
-            static_cast<unsigned>(std::bit_width(per_bucket) - 1));
-    }
-
-    buckets_.assign(nbuckets, npos);
-    for (std::uint32_t slot = 0;
-         slot < static_cast<std::uint32_t>(arena_.size()); ++slot) {
-        if (arena_[slot].live)
-            linkIntoBucket(slot);
-    }
 }
 
 void
@@ -272,8 +150,7 @@ EventQueue::reset()
 {
     arena_.clear();
     free_head_ = npos;
-    buckets_.assign(initialBuckets, npos);
-    log2_width_ = initialLog2Width;
+    heap_.clear();
     live_ = 0;
     cur_tick_ = 0;
     next_seq_ = 1;

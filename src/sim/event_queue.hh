@@ -4,29 +4,22 @@
  *
  * Every timed behaviour in the simulator -- a warp finishing a compute
  * burst, a PCI-e transfer completing, the GMMU finishing a fault-handling
- * window -- is an Event scheduled on the single global EventQueue owned
- * by the Simulator.  Events with equal timestamps are ordered by an
- * explicit priority and then by insertion order, so simulations are
+ * window -- is an event scheduled on the single EventQueue owned by the
+ * Simulator.  Events fire in (tick, insertion order), so simulations are
  * fully deterministic.
  *
- * The queue is a bucketed calendar queue (Brown, CACM'88): event
- * records are small POD-ish structs kept in a free-list arena, hashed
- * into time buckets of power-of-two width.  Scheduling performs no
- * heap allocation for the common simulator events -- callbacks whose
- * captured state fits EventCallback's inline buffer are stored in the
- * arena record itself, and the hottest call sites (SM issue/complete,
- * GMMU walks) use the raw function-pointer form, avoiding type-erased
- * dispatch machinery entirely.
+ * An event is a plain function pointer plus (context, argument) words:
+ * fn(ctx, arg).  Records live in a pooled free-list arena and a 4-ary
+ * min-heap of (tick, seq, slot) keys orders them.  Scheduling performs
+ * no allocation once the arena and heap have grown to the simulation's
+ * peak event count.  Cancelling an event only marks its record dead;
+ * the slot is reclaimed when its key reaches the top of the heap.
  */
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <new>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "sim/ticks.hh"
@@ -35,169 +28,7 @@ namespace uvmsim
 {
 
 /**
- * A move-only callable with small-buffer storage, sized so every
- * per-access event closure in the simulator fits without touching the
- * heap.  Three storage forms, cheapest first:
- *
- *  - a raw function pointer plus (context, argument) words -- the
- *    "POD event" form the hot paths use;
- *  - any callable up to inlineBytes that is nothrow-move-constructible,
- *    stored inline;
- *  - anything bigger, boxed on the heap (rare; cold paths only).
- */
-class EventCallback
-{
-  public:
-    /** The raw-function form: fn(ctx, arg). */
-    using PodFn = void (*)(void *ctx, std::uint64_t arg);
-
-    /** Inline storage size; covers every hot-path closure. */
-    static constexpr std::size_t inlineBytes = 48;
-
-    EventCallback() noexcept : ops_(nullptr) {}
-
-    /** POD event: direct function-pointer dispatch, no type erasure. */
-    EventCallback(PodFn fn, void *ctx, std::uint64_t arg) noexcept
-        : ops_(&pod_ops_)
-    {
-        ::new (static_cast<void *>(buf_)) PodThunk{fn, ctx, arg};
-    }
-
-    /** Wrap any callable; inline when it fits, heap-boxed otherwise. */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventCallback> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
-    EventCallback(F &&f) // NOLINT: implicit by design, mirrors std::function
-    {
-        using Fd = std::decay_t<F>;
-        if constexpr (sizeof(Fd) <= inlineBytes &&
-                      alignof(Fd) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fd>) {
-            ::new (static_cast<void *>(buf_)) Fd(std::forward<F>(f));
-            ops_ = &inline_ops_<Fd>;
-        } else {
-            *reinterpret_cast<Fd **>(buf_) =
-                new Fd(std::forward<F>(f));
-            ops_ = &heap_ops_<Fd>;
-        }
-    }
-
-    EventCallback(EventCallback &&other) noexcept : ops_(other.ops_)
-    {
-        if (ops_) {
-            ops_->relocate(buf_, other.buf_);
-            other.ops_ = nullptr;
-        }
-    }
-
-    EventCallback &
-    operator=(EventCallback &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            ops_ = other.ops_;
-            if (ops_) {
-                ops_->relocate(buf_, other.buf_);
-                other.ops_ = nullptr;
-            }
-        }
-        return *this;
-    }
-
-    EventCallback(const EventCallback &) = delete;
-    EventCallback &operator=(const EventCallback &) = delete;
-
-    ~EventCallback() { reset(); }
-
-    /** Whether a callable is held. */
-    explicit operator bool() const noexcept { return ops_ != nullptr; }
-
-    /** Invoke the held callable. */
-    void
-    operator()()
-    {
-        ops_->invoke(buf_);
-    }
-
-    /** Drop the held callable. */
-    void
-    reset() noexcept
-    {
-        if (ops_) {
-            ops_->destroy(buf_);
-            ops_ = nullptr;
-        }
-    }
-
-    /** Construct the POD form in place (no temporary, no relocation). */
-    void
-    emplacePod(PodFn fn, void *ctx, std::uint64_t arg) noexcept
-    {
-        reset();
-        ::new (static_cast<void *>(buf_)) PodThunk{fn, ctx, arg};
-        ops_ = &pod_ops_;
-    }
-
-  private:
-    struct PodThunk
-    {
-        PodFn fn;
-        void *ctx;
-        std::uint64_t arg;
-    };
-
-    /** Manual vtable: one static table per stored type. */
-    struct Ops
-    {
-        void (*invoke)(void *storage);
-        /** Move-construct into dst from src, then destroy src. */
-        void (*relocate)(void *dst, void *src) noexcept;
-        void (*destroy)(void *storage) noexcept;
-    };
-
-    static void
-    podInvoke(void *storage)
-    {
-        auto *t = static_cast<PodThunk *>(storage);
-        t->fn(t->ctx, t->arg);
-    }
-
-    static void
-    podRelocate(void *dst, void *src) noexcept
-    {
-        std::memcpy(dst, src, sizeof(PodThunk));
-    }
-
-    static void podDestroy(void *) noexcept {}
-
-    static constexpr Ops pod_ops_{podInvoke, podRelocate, podDestroy};
-
-    template <typename Fd>
-    static constexpr Ops inline_ops_{
-        [](void *storage) { (*static_cast<Fd *>(storage))(); },
-        [](void *dst, void *src) noexcept {
-            ::new (dst) Fd(std::move(*static_cast<Fd *>(src)));
-            static_cast<Fd *>(src)->~Fd();
-        },
-        [](void *storage) noexcept { static_cast<Fd *>(storage)->~Fd(); },
-    };
-
-    template <typename Fd>
-    static constexpr Ops heap_ops_{
-        [](void *storage) { (**static_cast<Fd **>(storage))(); },
-        [](void *dst, void *src) noexcept {
-            std::memcpy(dst, src, sizeof(Fd *));
-        },
-        [](void *storage) noexcept { delete *static_cast<Fd **>(storage); },
-    };
-
-    alignas(std::max_align_t) unsigned char buf_[inlineBytes];
-    const Ops *ops_;
-};
-
-/**
- * A time-ordered calendar queue of callbacks.
+ * A time-ordered queue of fn(ctx, arg) events.
  *
  * The queue advances simulated time: executing an event sets the current
  * tick to that event's timestamp.  Scheduling into the past is a
@@ -209,16 +40,13 @@ class EventQueue
     /** Opaque handle identifying a scheduled event; 0 is never valid. */
     using EventId = std::uint64_t;
 
-    /** The callable executed when an event fires. */
-    using Callback = EventCallback;
+    /** The function an event runs: fn(ctx, arg). */
+    using Fn = void (*)(void *ctx, std::uint64_t arg);
 
     /** Handle value that never names a live event. */
     static constexpr EventId invalidEventId = 0;
 
-    /** Default tie-break priority; lower runs first at equal ticks. */
-    static constexpr int defaultPriority = 0;
-
-    EventQueue();
+    EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -227,42 +55,17 @@ class EventQueue
     Tick curTick() const { return cur_tick_; }
 
     /**
-     * Schedule a callback at an absolute tick.
+     * Schedule fn(ctx, arg) at an absolute tick.  Events at the same
+     * tick fire in the order they were scheduled.
      *
-     * @param when     Absolute firing time; must be >= curTick().
-     * @param priority Tie-break among events at the same tick (lower
-     *                 value fires first).
-     * @param cb       Callback to run.
+     * @param when Absolute firing time; must be >= curTick().
      * @return A handle usable with deschedule().
      */
-    EventId schedule(Tick when, int priority, Callback cb);
+    EventId scheduleCall(Tick when, Fn fn, void *ctx, std::uint64_t arg);
 
-    /** Schedule with the default priority. */
+    /** Schedule fn(ctx, arg) relative to the current tick. */
     EventId
-    schedule(Tick when, Callback cb)
-    {
-        return schedule(when, defaultPriority, std::move(cb));
-    }
-
-    /** Schedule relative to the current tick. */
-    EventId
-    scheduleAfter(Tick delay, Callback cb)
-    {
-        return schedule(cur_tick_ + delay, std::move(cb));
-    }
-
-    /**
-     * POD fast path: schedule fn(ctx, arg) at an absolute tick with
-     * the default priority.  The thunk is built directly inside the
-     * arena record -- no allocation, no type erasure, no relocation.
-     */
-    EventId scheduleCall(Tick when, EventCallback::PodFn fn, void *ctx,
-                         std::uint64_t arg);
-
-    /** POD fast path, relative to the current tick. */
-    EventId
-    scheduleCallAfter(Tick delay, EventCallback::PodFn fn, void *ctx,
-                      std::uint64_t arg)
+    scheduleCallAfter(Tick delay, Fn fn, void *ctx, std::uint64_t arg)
     {
         return scheduleCall(cur_tick_ + delay, fn, ctx, arg);
     }
@@ -290,7 +93,7 @@ class EventQueue
      * @return true if an event was executed, false if the queue was
      *         empty.
      */
-    bool runOne();
+    bool runOne() { return fireNext(maxTick); }
 
     /**
      * Run events until the queue drains or the next event lies beyond
@@ -304,75 +107,56 @@ class EventQueue
     /** Drop all events and reset time to zero. */
     void reset();
 
-    /** Calendar geometry, exposed for tests: bucket count. */
-    std::size_t numBuckets() const { return buckets_.size(); }
-
-    /** Calendar geometry, exposed for tests: log2 of bucket width. */
-    unsigned bucketWidthLog2() const { return log2_width_; }
-
   private:
     /** Sentinel index for "no record". */
     static constexpr std::uint32_t npos = ~std::uint32_t{0};
 
-    /** One arena slot: an event record or a free-list link. */
+    /** One arena slot: an event's thunk or a free-list link. */
     struct Rec
     {
-        Tick when = 0;
-        std::uint64_t seq = 0; //!< Insertion order, the final tie-break.
-        Callback cb;
-        std::uint32_t next = npos; //!< Bucket chain / free-list link.
+        Fn fn = nullptr;
+        void *ctx = nullptr;
+        std::uint64_t arg = 0;
         std::uint32_t gen = 0;     //!< Guards stale EventIds.
-        int priority = 0;
-        bool live = false;
+        std::uint32_t next = npos; //!< Free-list link.
+        bool live = false;         //!< Scheduled and not cancelled.
     };
 
-    /** Fires a strictly before b. */
+    /** A heap entry: fires in (when, seq) order. */
+    struct Key
+    {
+        Tick when;
+        std::uint64_t seq; //!< Insertion order, the tie-break.
+        std::uint32_t slot;
+    };
+
     static bool
-    firesBefore(const Rec &a, const Rec &b)
+    firesBefore(const Key &a, const Key &b)
     {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
-        return a.seq < b.seq;
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
     }
 
-    std::uint32_t allocRec();
-    void freeRec(std::uint32_t slot);
-
-    /** The bucket a tick hashes to under the current geometry. */
-    std::size_t
-    bucketOf(Tick when) const
+    /** Put an unused slot on the free list. */
+    void
+    release(std::uint32_t slot)
     {
-        return static_cast<std::size_t>(when >> log2_width_) &
-               (buckets_.size() - 1);
+        arena_[slot].next = free_head_;
+        free_head_ = slot;
     }
 
-    /** Sorted insert of a record into its bucket chain. */
-    void linkIntoBucket(std::uint32_t slot);
+    /** Remove the heap's top key. */
+    void popTop();
 
     /**
-     * Locate the earliest live record.
-     * @return Slot index, or npos when empty; *prev_out gets the
-     *         predecessor slot in the bucket chain (npos when head),
-     *         *bucket_out the bucket index.
+     * Reclaim cancelled records off the top of the heap, then fire the
+     * earliest live event if it lies at or before limit.
+     * @return Whether an event fired.
      */
-    std::uint32_t findNext(std::uint32_t *prev_out,
-                           std::size_t *bucket_out) const;
-
-    /** Unlink a located record and run its callback. */
-    void fire(std::uint32_t slot, std::uint32_t prev,
-              std::size_t bucket);
-
-    /** Grow/shrink the calendar to match the live event count. */
-    void maybeResize();
-    void rebuild(std::size_t nbuckets);
+    bool fireNext(Tick limit);
 
     std::vector<Rec> arena_;
     std::uint32_t free_head_ = npos;
-
-    std::vector<std::uint32_t> buckets_; //!< Heads of sorted chains.
-    unsigned log2_width_ = 10;           //!< Bucket width = 2^n ticks.
+    std::vector<Key> heap_; //!< 4-ary min-heap; children of i: 4i+1..4i+4.
 
     std::size_t live_ = 0;
     Tick cur_tick_ = 0;

@@ -6,6 +6,7 @@
 
 #include <set>
 
+#include "closure_events.hh"
 #include "core/gmmu.hh"
 #include "gpu/gpu.hh"
 
@@ -154,7 +155,8 @@ TEST(Dispatch, KernelTimeExcludesGapsBetweenLaunches)
     Tick t1 = h.gpu->totalKernelTime();
 
     // A long idle gap must not count as kernel time.
-    h.eq.schedule(h.eq.curTick() + oneMillisecond, [] {});
+    ClosureEvents ev(h.eq);
+    ev.after(oneMillisecond, [] {});
     h.eq.run();
     auto k2 = computeKernel(1, 1, 100, 1);
     done = false;

@@ -4,6 +4,7 @@
 
 #include "sim/ticks.hh"
 
+#include "closure_events.hh"
 #include "gpu/dram.hh"
 #include "gpu/l2_cache.hh"
 
@@ -107,7 +108,8 @@ TEST(DramModel, OccupancyDrainsOverTime)
     EventQueue eq;
     DramModel dram(eq, nanoseconds(100), 32.0);
     dram.access(3200); // 100ns occupancy
-    eq.schedule(microseconds(1), [] {});
+    ClosureEvents ev(eq);
+    ev.at(microseconds(1), [] {});
     eq.run();
     // Channel long idle: new access starts fresh.
     Tick done = dram.access(32); // 1ns occupancy

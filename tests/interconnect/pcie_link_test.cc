@@ -4,6 +4,7 @@
 
 #include "sim/ticks.hh"
 
+#include "closure_events.hh"
 #include "interconnect/pcie_link.hh"
 #include "mem/types.hh"
 
@@ -16,6 +17,7 @@ namespace
 struct LinkFixture : public ::testing::Test
 {
     EventQueue eq;
+    ClosureEvents ev{eq};
     PcieLink link{eq, PcieBandwidthModel{}};
 };
 
@@ -54,7 +56,7 @@ TEST_F(LinkFixture, QueuedTransferStartsWhenChannelFrees)
     // Request the second transfer later but while busy.
     link.transfer(PcieDir::hostToDevice, kib(256), nullptr);
     Tick first_done = link.channelFreeAt(PcieDir::hostToDevice);
-    eq.schedule(first_done / 2, [&] {
+    ev.at(first_done / 2, [&] {
         Tick c = link.transfer(PcieDir::hostToDevice, kib(4), nullptr);
         EXPECT_EQ(c, first_done + link.model().transferLatency(kib(4)));
     });
@@ -67,7 +69,7 @@ TEST_F(LinkFixture, IdleChannelStartsImmediately)
     eq.run();
     Tick now = eq.curTick();
     // Much later request: starts at request time, not at free_at.
-    eq.schedule(now + oneMillisecond, [&] {
+    ev.at(now + oneMillisecond, [&] {
         Tick c = link.transfer(PcieDir::hostToDevice, kib(4), nullptr);
         EXPECT_EQ(c, eq.curTick() + link.model().transferLatency(kib(4)));
     });
@@ -185,6 +187,43 @@ TEST_F(LinkFixture, OutstandingTransfersTrackQueueDepth)
     EXPECT_EQ(link.outstandingTransfers(PcieDir::deviceToHost), 1u);
     eq.run();
     EXPECT_EQ(link.outstandingTransfers(PcieDir::hostToDevice), 0u);
+    EXPECT_EQ(link.outstandingTransfers(PcieDir::deviceToHost), 0u);
+}
+
+TEST_F(LinkFixture, CompletionMayStartTransferOnSameChannel)
+{
+    // The Gmmu starts new migrations from inside a landed migration's
+    // callback (arrival -> pumpFrameQueue -> transfer); the new
+    // transfer queues behind the ones already in flight.
+    const PcieDir h2d = PcieDir::hostToDevice;
+    const Tick lat = link.model().transferLatency(kib(4));
+    std::vector<int> order;
+    std::vector<Tick> landed_at;
+    std::vector<std::uint64_t> depth;
+    auto landed = [&](int tag) {
+        order.push_back(tag);
+        landed_at.push_back(eq.curTick());
+        depth.push_back(link.outstandingTransfers(h2d));
+    };
+    link.transfer(h2d, kib(4), [&] {
+        landed(1);
+        Tick c = link.transfer(h2d, kib(4), [&] { landed(4); });
+        EXPECT_EQ(c, 4 * lat);
+        EXPECT_EQ(link.outstandingTransfers(h2d), 3u);
+    });
+    link.transfer(h2d, kib(4), [&] {
+        landed(2);
+        link.transfer(h2d, kib(4), [&] { landed(5); });
+    });
+    link.transfer(h2d, kib(4), [&] { landed(3); });
+    EXPECT_EQ(link.outstandingTransfers(h2d), 3u);
+    eq.run();
+
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(landed_at,
+              (std::vector<Tick>{lat, 2 * lat, 3 * lat, 4 * lat, 5 * lat}));
+    EXPECT_EQ(depth, (std::vector<std::uint64_t>{2, 2, 2, 1, 0}));
+    EXPECT_EQ(link.transferCount(h2d), 5u);
     EXPECT_EQ(link.outstandingTransfers(PcieDir::deviceToHost), 0u);
 }
 

@@ -9,6 +9,7 @@
 #include "sim/ticks.hh"
 
 #include "analysis/access_pattern.hh"
+#include "closure_events.hh"
 #include "interconnect/pcie_link.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -19,14 +20,15 @@ namespace uvmsim
 TEST(Stress, EventQueueHeavyCancellation)
 {
     EventQueue eq;
+    ClosureEvents ev(eq);
     Rng rng(3);
     std::vector<EventQueue::EventId> ids;
     int fired = 0;
 
     for (int round = 0; round < 50; ++round) {
         for (int i = 0; i < 200; ++i) {
-            ids.push_back(eq.schedule(
-                eq.curTick() + 1 + rng.below(10000), [&] { ++fired; }));
+            ids.push_back(
+                ev.after(1 + rng.below(10000), [&] { ++fired; }));
         }
         // Cancel a random half.
         int cancelled = 0;
@@ -46,12 +48,13 @@ TEST(Stress, EventQueueInterleavedReschedule)
 {
     // Events that schedule more events at their own tick, repeatedly.
     EventQueue eq;
+    ClosureEvents ev(eq);
     int depth = 0;
     std::function<void()> chain = [&] {
         if (++depth < 2000)
-            eq.schedule(eq.curTick(), chain);
+            ev.at(eq.curTick(), chain);
     };
-    eq.schedule(1, chain);
+    ev.at(1, chain);
     eq.run();
     EXPECT_EQ(depth, 2000);
     EXPECT_EQ(eq.curTick(), 1u);
