@@ -11,11 +11,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "core/large_page_tree.hh"
 #include "core/residency_tracker.hh"
+#include "gpu/gpu_config.hh"
 #include "gpu/l2_cache.hh"
 #include "mem/tlb.hh"
 #include "sim/event_queue.hh"
@@ -201,7 +203,8 @@ BENCHMARK(BM_TreeNodeWalk);
 void
 BM_L2CacheAccess(benchmark::State &state)
 {
-    L2Cache l2(4ull << 20, 16, 128, "bench_l2");
+    const GpuConfig gpu;
+    L2Cache l2(gpu.l2_bytes, gpu.l2_assoc, gpu.l2_line_bytes, "bench_l2");
     Rng rng(23);
     const Addr span = 64ull << 20;
     for (auto _ : state)
@@ -210,6 +213,31 @@ BM_L2CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_L2CacheAccess);
+
+/**
+ * Whole-page read as the SM issues it: one 32-line run through the
+ * L1, then one L2 run over the L1 misses.  Items are lines.
+ */
+void
+BM_CachePageRun(benchmark::State &state)
+{
+    const GpuConfig gpu;
+    L2Cache l1(gpu.l1_bytes, gpu.l1_assoc, gpu.l2_line_bytes, "bench_l1");
+    L2Cache l2(gpu.l2_bytes, gpu.l2_assoc, gpu.l2_line_bytes, "bench_l2");
+    const auto shift = static_cast<std::uint32_t>(
+        std::bit_width(gpu.l2_line_bytes) - 1);
+    const auto lines = static_cast<std::uint32_t>(pageSize >> shift);
+    const std::uint64_t all = (std::uint64_t{1} << lines) - 1;
+    Rng rng(37);
+    const std::uint64_t pages = (64ull << 20) / pageSize;
+    for (auto _ : state) {
+        Addr first = (base + rng.below(pages) * pageSize) >> shift;
+        std::uint64_t miss = all & ~l1.accessLines(first, lines, all, false);
+        benchmark::DoNotOptimize(l2.accessLines(first, lines, miss, false));
+    }
+    state.SetItemsProcessed(state.iterations() * lines);
+}
+BENCHMARK(BM_CachePageRun);
 
 /** 48-set L1 geometry: exercises the fastmod set index. */
 void

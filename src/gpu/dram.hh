@@ -45,12 +45,14 @@ class DramModel
     }
 
     /**
-     * Complete one line transfer of `bytes` and report its completion
-     * tick: the channel serializes occupancy, then the fixed latency
-     * applies.
+     * Complete `count` back-to-back line transfers of `bytes` each and
+     * report the last one's completion tick: the channel serializes
+     * occupancy, then the fixed latency applies.  Equal to `count`
+     * single calls, since every transfer after the first starts at
+     * busy_until_.
      */
     Tick
-    access(std::uint32_t bytes)
+    access(std::uint32_t bytes, std::uint32_t count = 1)
     {
         Tick now = eq_.curTick();
         Tick start = std::max(now, busy_until_);
@@ -60,9 +62,9 @@ class DramModel
             memo_occupy_ = static_cast<Tick>(
                 ticks_per_byte_ * static_cast<double>(bytes) + 0.5);
         }
-        busy_until_ = start + memo_occupy_;
-        ++accesses_;
-        bytes_ += bytes;
+        busy_until_ = start + memo_occupy_ * count;
+        accesses_ += count;
+        bytes_ += static_cast<std::uint64_t>(bytes) * count;
         return busy_until_ + latency_;
     }
 

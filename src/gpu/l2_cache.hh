@@ -44,6 +44,20 @@ class L2Cache
      */
     bool access(Addr addr, bool is_write);
 
+    /**
+     * Look up (and on miss, fill) a run of consecutive lines in one
+     * pass: line indices first .. first+n-1, skipping every line whose
+     * bit in `want` is clear.  Each probed line sees exactly what
+     * access() on its address would, in ascending order.
+     * @param first    Line index (address >> log2(line_bytes)).
+     * @param n        Run length, 1..64.
+     * @param want     Bit i set: probe line first+i.
+     * @param is_write Marks the probed lines dirty on hit/fill.
+     * @return Hit mask (bit i set: line first+i was probed and hit).
+     */
+    std::uint64_t accessLines(Addr first, std::uint32_t n,
+                              std::uint64_t want, bool is_write);
+
     /** Probe without side effects. */
     bool contains(Addr addr) const;
 
@@ -98,16 +112,28 @@ class L2Cache
             (static_cast<unsigned __int128>(lowbits) * num_sets_) >> 64);
     }
 
-    /** Move a way to the top (most recent) of its set's rank order. */
-    void
-    touchRank(std::uint64_t base, std::uint32_t way)
-    {
-        std::uint8_t *ranks = &rank_[base];
-        std::uint8_t r = ranks[way];
-        for (std::uint32_t w = 0; w < assoc_; ++w)
-            ranks[w] -= ranks[w] > r;
-        ranks[way] = static_cast<std::uint8_t>(assoc_ - 1);
-    }
+    /** Fail on a line index the 32-bit tags cannot represent. */
+    void checkTagRange(Addr line) const;
+
+    /**
+     * The probe shared by access() and accessLines(): look up `tag` in
+     * the set starting at way `base`, filling on a miss.  Counts
+     * nothing; the caller updates hits_/misses_.
+     */
+    inline bool probe(std::uint64_t base, std::uint32_t tag,
+                      bool is_write);
+
+    /**
+     * Move a way to the top (most recent) of its set's rank order:
+     * every rank above the touched way's drops by one.  The signed
+     * byte compare is exact while ranks stay below 128 (assoc <= 128),
+     * so the SSE2 step covers 16 ranks per instruction for
+     * assoc % 16 == 0 and a
+     * 4-byte form covers the 4-way L1; other geometries run a scalar
+     * loop whose bound is a local (a byte store may alias `*this`,
+     * which would otherwise force a reload of assoc_ per way).
+     */
+    inline void touchRank(std::uint64_t base, std::uint32_t way);
 
     std::uint32_t assoc_;
     std::uint32_t line_bytes_;
@@ -116,6 +142,8 @@ class L2Cache
     std::uint64_t set_mask_ = 0;
     std::uint64_t mod_magic_ = 0; //!< ~0/num_sets + 1 (fastmod).
     bool sets_pow2_ = false;
+    /** touchRank form: 16 (SSE2 per 16 ways), 4 (4-way), 0 (scalar). */
+    std::uint8_t rank_simd_ = 0;
 
     /**
      * Tag store as structure-of-arrays (set-major): the hit probe is

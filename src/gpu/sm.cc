@@ -141,9 +141,10 @@ Sm::issueOp(WarpCtx *warp)
     }
     warp->outstanding =
         static_cast<std::uint32_t>(warp->op.accesses.size());
-    // Issue on a copy: completing accesses may advance warp->op.
-    std::vector<TraceAccess> accesses = warp->op.accesses;
-    for (const TraceAccess &access : accesses)
+    // Issue in place: every completion arrives through an event
+    // (memoryStage and Gmmu::translate always schedule), so warp->op
+    // cannot advance during this loop.
+    for (const TraceAccess &access : warp->op.accesses)
         performAccess(warp, access);
 }
 
@@ -185,22 +186,32 @@ Sm::memoryStage(const MemAccess &access, WarpCtx *warp)
 {
     // Touch every line the access covers; the completion time is the
     // slowest line's.  Reads probe the write-through L1 first; writes
-    // go straight to the L2 (no-write-allocate L1, GPU style).
-    Addr first_line = access.addr >> line_shift_;
-    Addr last_line = (access.addr + access.size - 1) >> line_shift_;
-    Tick completion = eq_.curTick() + l1_hit_latency_;
-    for (Addr line = first_line; line <= last_line; ++line) {
-        Addr line_addr = line << line_shift_;
-        if (l1_ && !access.is_write) {
-            if (l1_->access(line_addr, false))
-                continue; // L1 hit: the base latency covers it
-        }
-        bool hit = l2_.access(line_addr, access.is_write);
-        if (hit) {
-            completion = std::max(completion,
-                                  eq_.curTick() + l2_hit_latency_);
-        } else {
-            Tick fill = dram_.access(config_.l2_line_bytes);
+    // go straight to the L2 (no-write-allocate L1, GPU style).  Each
+    // cache takes the run in one pass (up to 64 lines at a time): the
+    // L1 and the L2 are separate structures that still see their
+    // lines in order, the L1-miss mask carries "L2 only on an L1
+    // miss", and the L2 misses go to DRAM as one back-to-back charge
+    // whose last fill is the latest, since fills are monotone.
+    const Tick now = eq_.curTick();
+    const Addr last_line = (access.addr + access.size - 1) >> line_shift_;
+    Tick completion = now + l1_hit_latency_;
+    for (Addr line = access.addr >> line_shift_; line <= last_line;
+         line += 64) {
+        auto n = static_cast<std::uint32_t>(
+            std::min<Addr>(64, last_line - line + 1));
+        std::uint64_t to_l2 =
+            n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+        if (l1_ && !access.is_write)
+            to_l2 &= ~l1_->accessLines(line, n, to_l2, false);
+        if (to_l2 == 0)
+            continue; // all L1 hits: the base latency covers them
+        std::uint64_t hit = l2_.accessLines(line, n, to_l2, access.is_write);
+        if (hit != 0)
+            completion = std::max(completion, now + l2_hit_latency_);
+        if (std::uint64_t miss = to_l2 & ~hit; miss != 0) {
+            Tick fill = dram_.access(
+                config_.l2_line_bytes,
+                static_cast<std::uint32_t>(std::popcount(miss)));
             completion = std::max(completion, fill + l2_hit_latency_);
         }
     }

@@ -133,6 +133,38 @@ TEST(SmFeatures, WritesBypassL1)
     EXPECT_GT(h.gpu->l2().misses(), 0u);
 }
 
+TEST(SmFeatures, ShortLinesProbeAPageInChunks)
+{
+    // 32 B lines: a 4 KB read covers 128 lines, two 64-line runs.
+    GpuConfig cfg = SmFeatureHarness::smallGpu();
+    cfg.l2_line_bytes = 32;
+    SmFeatureHarness h(cfg);
+    auto &alloc = h.space.allocate(mib(2), "a");
+
+    GridKernel kernel("page", 1, [&](std::uint64_t) {
+        std::vector<std::unique_ptr<WarpTrace>> out;
+        std::vector<WarpOp> trace(1);
+        trace[0].accesses.push_back(
+            TraceAccess{alloc.base(), pageSize, false});
+        out.push_back(std::make_unique<VectorTrace>(std::move(trace)));
+        return out;
+    });
+    bool done = false;
+    h.gpu->launch(kernel, [&] { done = true; });
+    h.eq.run();
+    ASSERT_TRUE(done);
+
+    stats::StatRegistry reg;
+    h.gpu->registerStats(reg);
+    EXPECT_DOUBLE_EQ(reg.at("sm0.l1.hits").value() +
+                         reg.at("sm0.l1.misses").value(),
+                     128.0);
+    EXPECT_EQ(h.gpu->l2().hits() + h.gpu->l2().misses(), 128u);
+    // Cold caches: every line is one DRAM transfer.
+    EXPECT_DOUBLE_EQ(reg.at("dram.accesses").value(), 128.0);
+    EXPECT_DOUBLE_EQ(reg.at("dram.bytes").value(), 4096.0);
+}
+
 TEST(SmFeatures, PageInvalidationFlushesL1)
 {
     GpuConfig cfg = SmFeatureHarness::smallGpu();

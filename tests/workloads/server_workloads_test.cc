@@ -126,9 +126,11 @@ TEST(ServerWorkloads, LlmInferWeightsAreReadOnly)
             for (auto &trace : tb->warps) {
                 WarpOp op;
                 while (trace->next(op))
-                    for (const TraceAccess &a : op.accesses)
-                        if (weights->contains(a.addr))
+                    for (const TraceAccess &a : op.accesses) {
+                        if (weights->contains(a.addr)) {
                             EXPECT_FALSE(a.is_write);
+                        }
+                    }
             }
         }
     }
@@ -210,9 +212,10 @@ TEST_P(ServerWorkloadAudit, AuditCleanUnderOversubscription)
             EXPECT_GT(r.farFaults(), 0.0) << name << " os=" << os;
             // At 110%% a demand-only run can still fit its touched
             // set; 150%% cannot, whatever the prefetcher.
-            if (os >= 150.0)
+            if (os >= 150.0) {
                 EXPECT_GT(r.pagesEvicted(), 0.0)
                     << name << " os=" << os;
+            }
         }
     }
 }
