@@ -8,35 +8,16 @@
 #include <sstream>
 
 #include "api/result_store.hh"
+#include "sim/logging.hh"
 
 namespace uvmsim::bench
 {
 
-namespace
-{
-
-/** One "[bench] ..." progress line, serialized against other output. */
-void
-progressLine(const std::string &benchmark, const SimConfig &config,
-             const char *counter)
-{
-    std::lock_guard<std::mutex> lock(outputMutex());
-    std::fprintf(stderr, "[bench%s] %-10s prefetch=%s/%s evict=%s "
-                 "oversub=%.0f%% buffer=%.0f%% reserve=%.0f%%...\n",
-                 counter, benchmark.c_str(),
-                 toString(config.prefetcher_before).c_str(),
-                 toString(config.prefetcher_after).c_str(),
-                 toString(config.eviction).c_str(),
-                 config.oversubscription_percent,
-                 config.free_buffer_percent, config.lru_reserve_percent);
-}
-
-} // namespace
-
 std::vector<std::string>
-selectedBenchmarks(const Options &opts)
+selectedBenchmarks(const Options &opts,
+                   const std::vector<std::string> &defaults)
 {
-    return opts.getList("benchmarks", allWorkloadNames());
+    return opts.getList("benchmarks", defaults);
 }
 
 WorkloadParams
@@ -64,8 +45,7 @@ applyTraceOptions(SimConfig &config, const Options &opts,
     config.trace_out = opts.get("trace-out", "uvmsim_bench");
     if (!label.empty())
         config.trace_out += "-" + label;
-    config.epoch_ticks =
-        opts.getUint("epoch-ticks", config.epoch_ticks);
+    config.epoch_ticks = opts.getUint("epoch-ticks", config.epoch_ticks);
 }
 
 void
@@ -96,12 +76,6 @@ fmt(double v, int precision)
     return oss.str();
 }
 
-std::string
-fmtInt(double v)
-{
-    return std::to_string(static_cast<long long>(v + 0.5));
-}
-
 double
 geomean(const std::vector<double> &values)
 {
@@ -116,32 +90,12 @@ geomean(const std::vector<double> &values)
     return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-RunResult
-run(const std::string &benchmark, const SimConfig &config,
-    const WorkloadParams &params)
-{
-    progressLine(benchmark, config, "");
-    return runBenchmark(benchmark, config, params);
-}
-
 std::vector<RunResult>
 runAll(const std::vector<RunJob> &jobs, const Options &opts)
 {
-    // --trace on any harness: every cell of the sweep gets its own
-    // uniquely named artifact pair (and its own cache key, so traced
-    // duplicates still each write their files).
-    std::vector<RunJob> batch = jobs;
-    if (opts.has("trace")) {
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            applyTraceOptions(batch[i].config, opts,
-                              batch[i].workload + "-" +
-                                  std::to_string(i));
-        }
-    }
-
-    // --store: share cells with other harnesses/runs through the
-    // persistent store (declared before the executor so it outlives
-    // the pool that reads through it).
+    // --store: share cells with other runs through the persistent
+    // store (declared before the executor so it outlives the pool
+    // that reads through it).
     std::optional<ResultStore> store;
     if (opts.has("store"))
         store.emplace(opts.get("store"));
@@ -152,14 +106,21 @@ runAll(const std::vector<RunJob> &jobs, const Options &opts)
         executor.setCacheCapacity(opts.getUint(
             "cache-bytes", RunExecutor::default_cache_bytes));
     std::atomic<std::size_t> started{0};
-    const std::size_t total = batch.size();
+    const std::size_t total = jobs.size();
     auto progress = [&started, total](const RunJob &job, std::size_t) {
-        char counter[32];
-        std::snprintf(counter, sizeof(counter), " %zu/%zu",
-                      started.fetch_add(1) + 1, total);
-        progressLine(job.workload, job.config, counter);
+        const SimConfig &c = job.config;
+        std::lock_guard<std::mutex> lock(outputMutex());
+        std::fprintf(stderr, "[bench %zu/%zu] %-10s prefetch=%s/%s "
+                     "evict=%s oversub=%.0f%% buffer=%.0f%% "
+                     "reserve=%.0f%%...\n",
+                     started.fetch_add(1) + 1, total, job.workload.c_str(),
+                     toString(c.prefetcher_before).c_str(),
+                     toString(c.prefetcher_after).c_str(),
+                     toString(c.eviction).c_str(),
+                     c.oversubscription_percent, c.free_buffer_percent,
+                     c.lru_reserve_percent);
     };
-    return executor.runBatch(batch, progress);
+    return executor.runBatch(jobs, progress);
 }
 
 } // namespace uvmsim::bench

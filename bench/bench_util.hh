@@ -1,17 +1,13 @@
 /**
  * @file
- * Shared helpers for the per-figure bench harnesses.
+ * Shared helpers for the paper_figures runner (paper_figures.cc):
+ * option decoding, row formatting and batch execution.
  *
- * Every binary in bench/ regenerates one table or figure of the paper:
- * it sweeps the relevant configurations over the seven benchmarks and
- * prints the same rows/series the paper reports, normalized the same
- * way.  Command-line options (see printStandardOptions) select subsets
- * for quick runs.
- *
- * Harnesses queue every (benchmark, config) cell of their sweep into a
- * Batch, execute it once -- in parallel on a RunExecutor pool sized by
- * --jobs -- and then format rows from the resolved results.  Output is
- * bit-identical for every --jobs value; only wall-clock time changes.
+ * The runner queues every (benchmark, config) cell of the selected
+ * figures into one job list, executes it once through runAll() -- in
+ * parallel on a RunExecutor pool sized by --jobs -- and then formats
+ * rows from the resolved results.  Output is bit-identical for every
+ * --jobs value; only wall-clock time changes.
  */
 
 #pragma once
@@ -22,30 +18,28 @@
 
 #include "api/run_executor.hh"
 #include "api/simulator.hh"
-#include "sim/logging.hh"
 #include "sim/options.hh"
 
 namespace uvmsim::bench
 {
 
-/** The benchmark list selected by --benchmarks (default: all 7). */
-std::vector<std::string> selectedBenchmarks(const Options &opts);
+/** The --benchmarks list; `defaults` (the paper's seven) if absent. */
+std::vector<std::string>
+selectedBenchmarks(const Options &opts,
+                   const std::vector<std::string> &defaults =
+                       allWorkloadNames());
 
 /** Workload parameters honoring --scale / --seed. */
 WorkloadParams workloadParams(const Options &opts);
 
-/**
- * Worker-pool size selected by --jobs (0 and the default mean
- * hardware concurrency; --jobs=1 restores serial execution).
- */
+/** Worker-pool size from --jobs (default 0: hardware concurrency). */
 std::size_t jobCount(const Options &opts);
 
 /**
- * Event-tracing wiring shared by every harness: when --trace=<spec>
- * was given, apply it (plus --trace-out / --epoch-ticks) to the
- * config.  `label` distinguishes the artifacts of concurrent runs --
- * each traced cell writes <trace-out>-<label>.trace.json and
- * <trace-out>-<label>.epochs.csv.  No-op without --trace.
+ * With --trace=<spec>, apply it (plus --trace-out / --epoch-ticks) to
+ * the config; no-op without.  Each traced cell writes
+ * <trace-out>-<label>.trace.json and .epochs.csv, so distinct labels
+ * keep concurrent cells' artifacts (and cache keys) apart.
  */
 void applyTraceOptions(SimConfig &config, const Options &opts,
                        const std::string &label);
@@ -57,86 +51,21 @@ void printHeader(const std::string &figure, const std::string &what);
 void printRow(const std::string &label,
               const std::vector<std::string> &cells);
 
-/** Format helpers. */
+/** Fixed-point format (precision 0 prints counts). */
 std::string fmt(double v, int precision = 3);
-std::string fmtInt(double v);
 
-/**
- * Geometric mean.  Returns 0.0 for an empty input; fatal()s on
- * non-positive values (their logarithm is undefined, so any result
- * would be garbage).
- */
+/** Geometric mean; 0.0 when empty, fatal() on non-positive values. */
 double geomean(const std::vector<double> &values);
-
-/**
- * Run one benchmark under a config, echoing a progress line to
- * stderr so long sweeps are watchable.
- */
-RunResult run(const std::string &benchmark, const SimConfig &config,
-              const WorkloadParams &params);
 
 /**
  * Run a whole batch of jobs on a RunExecutor pool sized by --jobs,
  * echoing one progress line per simulated job.  Results come back in
- * submission order; duplicate sweep points are simulated once.  With
+ * submission order; duplicate cells are simulated once.  With
  * --store=DIR, cells are read through / written back to a persistent
- * result store shared with uvmsim_sweep and other harness runs;
+ * result store shared with uvmsim_sweep and other runs;
  * --cache-bytes=N bounds the in-process result cache.
  */
 std::vector<RunResult> runAll(const std::vector<RunJob> &jobs,
                               const Options &opts);
-
-/**
- * Deferred sweep execution for the figure harnesses: add() every cell
- * up front (it returns a handle), run() the whole batch through
- * runAll(), then read result(handle) while formatting rows.
- */
-class Batch
-{
-  public:
-    explicit Batch(const Options &opts)
-        : opts_(opts)
-    {}
-
-    /** Queue one run; the handle resolves after run(). */
-    std::size_t
-    add(const std::string &benchmark, const SimConfig &config,
-        const WorkloadParams &params)
-    {
-        if (ran_)
-            fatal("bench::Batch: add() after run()");
-        jobs_.push_back(RunJob{benchmark, config, params});
-        return jobs_.size() - 1;
-    }
-
-    /** Execute every queued job (parallel, deterministic). */
-    void
-    run()
-    {
-        if (ran_)
-            fatal("bench::Batch: run() called twice");
-        results_ = runAll(jobs_, opts_);
-        ran_ = true;
-    }
-
-    /** The result for a handle returned by add(). */
-    const RunResult &
-    result(std::size_t handle) const
-    {
-        if (!ran_)
-            fatal("bench::Batch: result() before run()");
-        if (handle >= results_.size())
-            fatal("bench::Batch: bad handle %zu", handle);
-        return results_[handle];
-    }
-
-    std::size_t size() const { return jobs_.size(); }
-
-  private:
-    const Options &opts_;
-    std::vector<RunJob> jobs_;
-    std::vector<RunResult> results_;
-    bool ran_ = false;
-};
 
 } // namespace uvmsim::bench

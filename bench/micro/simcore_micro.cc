@@ -3,10 +3,10 @@
  * Hot-path micro-benchmarks (google-benchmark) for the pooled/flat
  * simulator core: the heap-ordered EventQueue's schedule, fire and
  * deschedule paths, the intrusive index-linked ResidencyTracker, the
- * implicit-heap LargePageTree walks, and the rewritten L2 tag store
- * and open-addressing TLB.  Companion to bench/micro_components.cc;
- * these isolate the operations the hot-path overhaul targeted so a
- * regression in any one structure is visible without a full sweep.
+ * implicit-heap LargePageTree walks, the L2 tag store, the
+ * open-addressing TLB, the page table and the PCI-e timing model.
+ * These isolate each hot structure so a regression in any one is
+ * visible without a full sweep; they are not paper artifacts.
  */
 
 #include <benchmark/benchmark.h>
@@ -19,6 +19,8 @@
 #include "core/residency_tracker.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/l2_cache.hh"
+#include "interconnect/bandwidth_model.hh"
+#include "mem/page_table.hh"
 #include "mem/tlb.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -232,8 +234,8 @@ BM_CachePageRun(benchmark::State &state)
     const std::uint64_t pages = (64ull << 20) / pageSize;
     for (auto _ : state) {
         Addr first = (base + rng.below(pages) * pageSize) >> shift;
-        std::uint64_t miss = all & ~l1.accessLines(first, lines, all, false);
-        benchmark::DoNotOptimize(l2.accessLines(first, lines, miss, false));
+        std::uint64_t miss = all & ~l1.accessLines(first, lines, all);
+        benchmark::DoNotOptimize(l2.accessLines(first, lines, miss));
     }
     state.SetItemsProcessed(state.iterations() * lines);
 }
@@ -270,6 +272,35 @@ BM_TlbLookupInsert(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TlbLookupInsert);
+
+/** Page-table map/invalidate churn over a 4 GB page range. */
+void
+BM_PageTableChurn(benchmark::State &state)
+{
+    PageTable pt;
+    Rng rng(3);
+    for (auto _ : state) {
+        PageNum p = rng.below(1 << 20);
+        if (pt.isValid(p))
+            pt.invalidatePage(p);
+        else
+            pt.mapPage(p, p);
+    }
+}
+BENCHMARK(BM_PageTableChurn);
+
+/** PCI-e transfer-latency lookup for 4 KB .. 2 MB transfers. */
+void
+BM_BandwidthLookup(benchmark::State &state)
+{
+    PcieBandwidthModel model;
+    Rng rng(4);
+    for (auto _ : state) {
+        std::uint64_t bytes = pageSize * (1 + rng.below(512));
+        benchmark::DoNotOptimize(model.transferLatency(bytes));
+    }
+}
+BENCHMARK(BM_BandwidthLookup);
 
 } // namespace
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Parse bench harness output into per-figure CSV files (and plots).
+"""Parse paper_figures output into per-figure CSV files (and plots).
 
 Usage:
-    for b in build/bench/fig*; do $b; done > bench_output.txt 2>/dev/null
+    build/bench/paper_figures > bench_output.txt 2>/dev/null
     scripts/plot_figures.py bench_output.txt --outdir figures/
 
 Each figure's table becomes figures/<figure>.csv. If matplotlib is

@@ -1,18 +1,15 @@
 #!/bin/sh
 # Regenerate every paper artifact and the test log from a clean build.
 # Usage: scripts/regen_experiments.sh [build-dir]
-# Figure harnesses run their sweeps on JOBS parallel workers (see
-# "Parallel execution" in EXPERIMENTS.md); JOBS=1 forces serial runs.
+# paper_figures runs every figure's cells as one batch on JOBS
+# parallel workers (see "Parallel execution" in EXPERIMENTS.md);
+# JOBS=1 forces serial runs.
 set -e
 BUILD=${1:-build}
 JOBS=${JOBS:-$(nproc 2>/dev/null || echo 1)}
 cmake -B "$BUILD" -G Ninja
 cmake --build "$BUILD"
-ctest --test-dir "$BUILD" 2>&1 | tee test_output.txt
-for b in "$BUILD"/bench/*; do
-    case "$(basename "$b")" in
-        # google-benchmark binary: owns its own flags, no --jobs.
-        micro_components) "$b" ;;
-        *) "$b" --jobs="$JOBS" ;;
-    esac
-done 2>&1 | tee bench_output.txt
+# No pipes: under `set -e` a failing step must fail the script (a
+# pipeline would report tee's status instead).
+ctest --test-dir "$BUILD" > test_output.txt 2>&1
+"$BUILD"/bench/paper_figures --jobs="$JOBS" > bench_output.txt 2>&1

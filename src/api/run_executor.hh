@@ -2,7 +2,7 @@
  * @file
  * Parallel run executor: thread-pooled batch simulation.
  *
- * Every experiment in this repo -- the per-figure bench harnesses,
+ * Every experiment in this repo -- the paper_figures runner,
  * uvmsim_sweep, runBenchmarkSeeds() -- is a batch of fully independent
  * Simulator::run() calls: each run builds a fresh system and is
  * deterministic for its (workload, config, params) triple.  The

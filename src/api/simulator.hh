@@ -294,7 +294,7 @@ class Simulator
 };
 
 /**
- * One-call convenience used throughout the bench harnesses: build the
+ * One-call convenience used by the bench and test code: build the
  * named workload and run it under the given config.
  */
 RunResult runBenchmark(const std::string &workload_name,

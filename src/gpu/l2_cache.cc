@@ -52,7 +52,6 @@ L2Cache::L2Cache(std::uint64_t capacity_bytes, std::uint32_t assoc,
     for (std::uint64_t s = 0; s < num_sets_; ++s)
         for (std::uint32_t w = 0; w < assoc_; ++w)
             rank_[s * assoc_ + w] = static_cast<std::uint8_t>(w);
-    dirty_.assign(num_sets_ * assoc_, 0);
     page_lines_.assign(filterBuckets, 0);
 }
 
@@ -99,7 +98,7 @@ L2Cache::touchRank(std::uint64_t base, std::uint32_t way)
 }
 
 bool
-L2Cache::probe(std::uint64_t base, std::uint32_t tag, bool is_write)
+L2Cache::probe(std::uint64_t base, std::uint32_t tag)
 {
     std::uint32_t *tags = &tags_[base];
 
@@ -153,7 +152,6 @@ L2Cache::probe(std::uint64_t base, std::uint32_t tag, bool is_write)
     }
     if (hit_way != invalidTag) {
         touchRank(base, hit_way);
-        dirty_[base + hit_way] |= is_write;
         return true;
     }
 
@@ -192,16 +190,15 @@ L2Cache::probe(std::uint64_t base, std::uint32_t tag, bool is_write)
     }
     ++page_lines_[(tag >> page_shift) & (filterBuckets - 1)];
     tags[victim] = tag;
-    dirty_[base + victim] = is_write;
     touchRank(base, victim);
     return false;
 }
 
 bool
-L2Cache::access(Addr addr, bool is_write)
+L2Cache::access(Addr addr, bool /*is_write*/)
 {
     checkTagRange(addr >> line_shift_);
-    bool hit = probe(setIndex(addr) * assoc_, tagOf(addr), is_write);
+    bool hit = probe(setIndex(addr) * assoc_, tagOf(addr));
     if (hit)
         ++hits_;
     else
@@ -210,8 +207,7 @@ L2Cache::access(Addr addr, bool is_write)
 }
 
 std::uint64_t
-L2Cache::accessLines(Addr first, std::uint32_t n, std::uint64_t want,
-                     bool is_write)
+L2Cache::accessLines(Addr first, std::uint32_t n, std::uint64_t want)
 {
     if (n == 0 || n > 64)
         panic("L2Cache: line run of %u lines (1..64 supported)", n);
@@ -227,8 +223,7 @@ L2Cache::accessLines(Addr first, std::uint32_t n, std::uint64_t want,
     std::uint64_t hit = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
         if ((want >> i) & 1)
-            hit |= static_cast<std::uint64_t>(probe(base, tag, is_write))
-                   << i;
+            hit |= static_cast<std::uint64_t>(probe(base, tag)) << i;
         ++tag;
         base += assoc_;
         if (base == end)
@@ -264,7 +259,6 @@ L2Cache::invalidatePage(PageNum page)
         for (std::uint32_t w = 0; w < assoc_; ++w) {
             if (tags_[base + w] == tag) {
                 tags_[base + w] = invalidTag;
-                dirty_[base + w] = 0;
                 --page_lines_[page & (filterBuckets - 1)];
                 ++invalidations_;
             }
@@ -276,7 +270,6 @@ void
 L2Cache::flushAll()
 {
     std::fill(tags_.begin(), tags_.end(), invalidTag);
-    std::fill(dirty_.begin(), dirty_.end(), 0);
     std::fill(page_lines_.begin(), page_lines_.end(), 0);
 }
 

@@ -39,7 +39,9 @@ class L2Cache
     /**
      * Look up (and on miss, fill) the line for an address.
      * @param addr     Byte address accessed.
-     * @param is_write Marks the line dirty on hit/fill.
+     * @param is_write No effect: the tag store keeps no dirty state,
+     *                 since write-back traffic is folded into the
+     *                 DRAM channel occupancy.
      * @return true on hit, false on miss (line now filled).
      */
     bool access(Addr addr, bool is_write);
@@ -52,11 +54,10 @@ class L2Cache
      * @param first    Line index (address >> log2(line_bytes)).
      * @param n        Run length, 1..64.
      * @param want     Bit i set: probe line first+i.
-     * @param is_write Marks the probed lines dirty on hit/fill.
      * @return Hit mask (bit i set: line first+i was probed and hit).
      */
     std::uint64_t accessLines(Addr first, std::uint32_t n,
-                              std::uint64_t want, bool is_write);
+                              std::uint64_t want);
 
     /** Probe without side effects. */
     bool contains(Addr addr) const;
@@ -120,8 +121,7 @@ class L2Cache
      * the set starting at way `base`, filling on a miss.  Counts
      * nothing; the caller updates hits_/misses_.
      */
-    inline bool probe(std::uint64_t base, std::uint32_t tag,
-                      bool is_write);
+    inline bool probe(std::uint64_t base, std::uint32_t tag);
 
     /**
      * Move a way to the top (most recent) of its set's rank order:
@@ -156,7 +156,6 @@ class L2Cache
      */
     std::vector<std::uint32_t> tags_; //!< invalidTag = empty way.
     std::vector<std::uint8_t> rank_;  //!< 0 = LRU .. assoc-1 = MRU.
-    std::vector<std::uint8_t> dirty_;
 
     /**
      * Counting filter over pages with cached lines: bucket

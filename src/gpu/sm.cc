@@ -202,10 +202,10 @@ Sm::memoryStage(const MemAccess &access, WarpCtx *warp)
         std::uint64_t to_l2 =
             n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
         if (l1_ && !access.is_write)
-            to_l2 &= ~l1_->accessLines(line, n, to_l2, false);
+            to_l2 &= ~l1_->accessLines(line, n, to_l2);
         if (to_l2 == 0)
             continue; // all L1 hits: the base latency covers them
-        std::uint64_t hit = l2_.accessLines(line, n, to_l2, access.is_write);
+        std::uint64_t hit = l2_.accessLines(line, n, to_l2);
         if (hit != 0)
             completion = std::max(completion, now + l2_hit_latency_);
         if (std::uint64_t miss = to_l2 & ~hit; miss != 0) {

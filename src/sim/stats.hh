@@ -6,7 +6,7 @@
  * migrated bytes, transfer histograms, derived bandwidths...) as named
  * statistics registered with the simulation's StatRegistry.  The
  * registry renders the complete set as a human-readable table or as
- * CSV, which is what the bench harnesses consume to regenerate the
+ * CSV, which is what the bench runner consumes to regenerate the
  * paper's tables and figures.
  *
  * Components own their stats as plain members; the registry stores

@@ -34,7 +34,7 @@ TEST(BenchUtil, JobCountDefaultsToHardwareConcurrency)
     EXPECT_EQ(jobCount(opts), 3u);
 }
 
-TEST(BenchUtil, BatchResolvesHandlesInSubmissionOrder)
+TEST(BenchUtil, RunAllKeepsSubmissionOrderAndSharesDuplicates)
 {
     const char *argv[] = {"prog", "--jobs=2"};
     Options opts(2, argv);
@@ -44,14 +44,15 @@ TEST(BenchUtil, BatchResolvesHandlesInSubmissionOrder)
     SimConfig cfg;
     cfg.gpu.num_sms = 4;
 
-    Batch batch(opts);
-    std::size_t h0 = batch.add("backprop", cfg, p);
-    std::size_t h1 = batch.add("pathfinder", cfg, p);
-    ASSERT_EQ(batch.size(), 2u);
-    batch.run();
-    EXPECT_EQ(batch.result(h0).workload, "backprop");
-    EXPECT_EQ(batch.result(h1).workload, "pathfinder");
-    EXPECT_GT(batch.result(h1).kernelTimeUs(), 0.0);
+    std::vector<RunJob> jobs = {{"backprop", cfg, p},
+                                {"pathfinder", cfg, p},
+                                {"backprop", cfg, p}};
+    std::vector<RunResult> results = runAll(jobs, opts);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results[0].workload, "backprop");
+    EXPECT_EQ(results[1].workload, "pathfinder");
+    EXPECT_GT(results[1].kernelTimeUs(), 0.0);
+    EXPECT_EQ(results[2].kernel_time, results[0].kernel_time);
 }
 
 TEST(BenchUtil, FormatHelpers)
@@ -59,8 +60,8 @@ TEST(BenchUtil, FormatHelpers)
     EXPECT_EQ(fmt(1.23456, 2), "1.23");
     EXPECT_EQ(fmt(1.23456, 4), "1.2346");
     EXPECT_EQ(fmt(2.0, 0), "2");
-    EXPECT_EQ(fmtInt(41.7), "42");
-    EXPECT_EQ(fmtInt(0.2), "0");
+    EXPECT_EQ(fmt(41.0, 0), "41");
+    EXPECT_EQ(fmt(0.0, 0), "0");
 }
 
 TEST(BenchUtil, SelectedBenchmarksDefaultsToPaperSuite)
@@ -80,6 +81,18 @@ TEST(BenchUtil, SelectedBenchmarksHonorsOverride)
     EXPECT_EQ(names[1], "srad");
 }
 
+TEST(BenchUtil, SelectedBenchmarksTakesAnEntryDefault)
+{
+    const std::vector<std::string> subset = {"hotspot", "nw"};
+    Options empty;
+    EXPECT_EQ(selectedBenchmarks(empty, subset), subset);
+
+    const char *argv[] = {"prog", "--benchmarks=srad"};
+    Options opts(2, argv);
+    EXPECT_EQ(selectedBenchmarks(opts, subset),
+              std::vector<std::string>{"srad"});
+}
+
 TEST(BenchUtil, WorkloadParamsHonorScaleAndSeed)
 {
     const char *argv[] = {"prog", "--scale=0.5", "--seed=7"};
@@ -87,17 +100,6 @@ TEST(BenchUtil, WorkloadParamsHonorScaleAndSeed)
     WorkloadParams p = workloadParams(opts);
     EXPECT_DOUBLE_EQ(p.size_scale, 0.5);
     EXPECT_EQ(p.seed, 7u);
-}
-
-TEST(BenchUtil, RunProducesUsableResult)
-{
-    WorkloadParams p;
-    p.size_scale = 0.1;
-    SimConfig cfg;
-    cfg.gpu.num_sms = 4;
-    RunResult r = run("backprop", cfg, p);
-    EXPECT_EQ(r.workload, "backprop");
-    EXPECT_GT(r.kernelTimeUs(), 0.0);
 }
 
 } // namespace uvmsim::bench

@@ -237,9 +237,7 @@ checkAgainstOracle(const CacheGeometry &g, std::uint64_t seed, int ops)
                                   oracle.access(first + i))
                               << i;
             }
-            ASSERT_EQ(cache.accessLines(first, n, want,
-                                        rng.below(2) != 0),
-                      expect);
+            ASSERT_EQ(cache.accessLines(first, n, want), expect);
         } else if (kind < 92) {
             PageNum page = (first_line + rng.below(span)) /
                            lines_per_page;
@@ -289,14 +287,14 @@ TEST(L2Cache, AccessLinesSkipsUnwantedLines)
 {
     L2Cache l2(kib(16), 4, 128);
     // Lines 0..3 of the run; probe only 1 and 3.
-    EXPECT_EQ(l2.accessLines(0, 4, 0b1010, false), 0u);
+    EXPECT_EQ(l2.accessLines(0, 4, 0b1010), 0u);
     EXPECT_EQ(l2.misses(), 2u);
     EXPECT_FALSE(l2.contains(0x000));
     EXPECT_TRUE(l2.contains(0x080));
     EXPECT_FALSE(l2.contains(0x100));
     EXPECT_TRUE(l2.contains(0x180));
     // Bits past n are ignored.
-    EXPECT_EQ(l2.accessLines(0, 4, ~std::uint64_t{0}, false), 0b1010u);
+    EXPECT_EQ(l2.accessLines(0, 4, ~std::uint64_t{0}), 0b1010u);
     EXPECT_EQ(l2.hits(), 2u);
     EXPECT_EQ(l2.misses(), 4u);
 }
@@ -304,10 +302,10 @@ TEST(L2Cache, AccessLinesSkipsUnwantedLines)
 TEST(L2Cache, AccessLinesRejectsBadRuns)
 {
     L2Cache l2(kib(16), 4, 128);
-    EXPECT_DEATH(l2.accessLines(0, 0, 1, false), "line run");
-    EXPECT_DEATH(l2.accessLines(0, 65, 1, false), "line run");
+    EXPECT_DEATH(l2.accessLines(0, 0, 1), "line run");
+    EXPECT_DEATH(l2.accessLines(0, 65, 1), "line run");
     // The guard checks the last line of the run.
-    EXPECT_DEATH(l2.accessLines(0xfffffffeull, 2, 1, false), "tag range");
+    EXPECT_DEATH(l2.accessLines(0xfffffffeull, 2, 1), "tag range");
 }
 
 TEST(DramModel, FixedLatencyWhenIdle)
