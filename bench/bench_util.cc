@@ -106,8 +106,8 @@ runAll(const std::vector<RunJob> &jobs, const Options &opts)
         executor.setCacheCapacity(opts.getUint(
             "cache-bytes", RunExecutor::default_cache_bytes));
     std::atomic<std::size_t> started{0};
-    const std::size_t total = jobs.size();
-    auto progress = [&started, total](const RunJob &job, std::size_t) {
+    auto progress = [&started](const RunJob &job, std::size_t,
+                               std::size_t total) {
         const SimConfig &c = job.config;
         std::lock_guard<std::mutex> lock(outputMutex());
         std::fprintf(stderr, "[bench %zu/%zu] %-10s prefetch=%s/%s "

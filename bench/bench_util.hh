@@ -59,7 +59,9 @@ double geomean(const std::vector<double> &values);
 
 /**
  * Run a whole batch of jobs on a RunExecutor pool sized by --jobs,
- * echoing one progress line per simulated job.  Results come back in
+ * echoing one `[bench i/N]` line per simulated job, where N counts the
+ * simulations the batch starts (duplicates and cache/store hits start
+ * none), so the last line reads N/N.  Results come back in
  * submission order; duplicate cells are simulated once.  With
  * --store=DIR, cells are read through / written back to a persistent
  * result store shared with uvmsim_sweep and other runs;

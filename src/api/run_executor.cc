@@ -249,11 +249,12 @@ RunExecutor::runBatch(const std::vector<RunJob> &jobs,
 
     std::vector<Task> tasks;
     tasks.reserve(task_jobs.size());
+    const std::size_t starting = task_jobs.size();
     for (std::size_t job_index : task_jobs) {
         const RunJob &job = jobs[job_index];
-        tasks.push_back([&job, job_index, &progress] {
+        tasks.push_back([&job, job_index, starting, &progress] {
             if (progress)
-                progress(job, job_index);
+                progress(job, job_index, starting);
             return runBenchmark(job.workload, job.config, job.params);
         });
     }

@@ -96,11 +96,13 @@ class RunExecutor
     /**
      * Called on a worker thread just before a job starts executing
      * (cache and store hits never invoke it).  `index` is the job's
-     * position in the submitted batch.  Must be thread-safe; serialize
-     * any output through outputMutex().
+     * position in the submitted batch; `starting` is how many
+     * simulations the batch starts in all, after duplicates and cache
+     * and store hits are removed.  Must be thread-safe; serialize any
+     * output through outputMutex().
      */
-    using Progress =
-        std::function<void(const RunJob &job, std::size_t index)>;
+    using Progress = std::function<void(
+        const RunJob &job, std::size_t index, std::size_t starting)>;
 
     /**
      * Create the pool.  `num_threads` == 0 selects the hardware

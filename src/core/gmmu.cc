@@ -200,8 +200,7 @@ Gmmu::translate(const MemAccess &access, AccessDone done)
     }
 
     eq_.scheduleCall(start + config_.page_walk_latency,
-                     &Gmmu::walkDoneThunk, this,
-                     allocWalk(access, std::move(done)));
+                     &Gmmu::walkDoneThunk, this, allocWalk(access, done));
 }
 
 std::uint32_t
@@ -216,7 +215,7 @@ Gmmu::allocWalk(const MemAccess &access, AccessDone done)
         slot = static_cast<std::uint32_t>(walks_.size() - 1);
     }
     walks_[slot].access = access;
-    walks_[slot].done = std::move(done);
+    walks_[slot].done = done;
     return slot;
 }
 
@@ -225,31 +224,35 @@ Gmmu::walkDoneThunk(void *gmmu, std::uint64_t slot64)
 {
     auto *self = static_cast<Gmmu *>(gmmu);
     auto slot = static_cast<std::uint32_t>(slot64);
-    // Move out and recycle first: walkDone may start new walks and
-    // reallocate the pool.
-    MemAccess access = self->walks_[slot].access;
-    AccessDone done = std::move(self->walks_[slot].done);
-    self->walks_[slot].next = self->walk_free_;
-    self->walk_free_ = slot;
-    self->walkDone(access, std::move(done));
+    if (self->page_table_.isValid(pageOf(self->walks_[slot].access.addr)))
+        self->finishWalk(slot);
+    else
+        self->raiseFault(slot);
 }
 
 void
-Gmmu::walkDone(const MemAccess &access, AccessDone done)
+Gmmu::faultResolvedThunk(void *gmmu, std::uint64_t slot)
 {
-    PageNum page = pageOf(access.addr);
-    if (page_table_.isValid(page)) {
-        accountAccess(access);
-        done();
-        return;
-    }
-    raiseFault(access, std::move(done));
+    static_cast<Gmmu *>(gmmu)->finishWalk(static_cast<std::uint32_t>(slot));
 }
 
 void
-Gmmu::raiseFault(const MemAccess &access, AccessDone done)
+Gmmu::finishWalk(std::uint32_t slot)
 {
-    PageNum page = pageOf(access.addr);
+    // Copy out and recycle first: the continuation may start new walks
+    // and reallocate the pool.
+    const MemAccess access = walks_[slot].access;
+    const AccessDone done = walks_[slot].done;
+    walks_[slot].next = walk_free_;
+    walk_free_ = slot;
+    accountAccess(access);
+    done();
+}
+
+void
+Gmmu::raiseFault(std::uint32_t slot)
+{
+    const PageNum page = pageOf(walks_[slot].access.addr);
 
     // Finite MSHRs: a fault on a page with no existing entry must
     // wait for space; it retries through the validity check (the page
@@ -258,16 +261,12 @@ Gmmu::raiseFault(const MemAccess &access, AccessDone done)
         mshr_.pendingPages() >= config_.mshr_entries) {
         ++mshr_stalls_;
         eq_.scheduleCallAfter(config_.mshr_retry_latency,
-                              &Gmmu::walkDoneThunk, this,
-                              allocWalk(access, std::move(done)));
+                              &Gmmu::walkDoneThunk, this, slot);
         return;
     }
 
-    auto waiter = [this, access, done = std::move(done)]() {
-        accountAccess(access);
-        done();
-    };
-    bool primary = mshr_.registerFault(page, std::move(waiter));
+    bool primary = mshr_.registerFault(
+        page, {&Gmmu::faultResolvedThunk, this, slot});
     DTRACE("GMMU", "far-fault on page %llu (%s)",
            static_cast<unsigned long long>(page),
            primary ? "primary" : "merged");

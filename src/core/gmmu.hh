@@ -129,8 +129,8 @@ struct GmmuConfig
 class Gmmu
 {
   public:
-    /** Invoked when a translated access may proceed to the caches. */
-    using AccessDone = std::function<void()>;
+    /** Run when a translated access may proceed to the caches. */
+    using AccessDone = EventQueue::Thunk;
     /** Invoked for every page invalidation so SM TLBs can shoot down. */
     using TlbShootdownFn = std::function<void(PageNum)>;
     /** Observer of completed page accesses (used for Fig. 12 traces). */
@@ -262,14 +262,11 @@ class Gmmu
         std::function<void(std::vector<FrameNum>)> grant;
     };
 
-    /** After the page walk: complete or fault. */
-    void walkDone(const MemAccess &access, AccessDone done);
-
     /**
-     * One in-flight page-table walk (or MSHR-full retry), pooled so
-     * the walk-completion event is a POD (fn, this, slot) record --
-     * the access + done closure would otherwise overflow any inline
-     * callback storage and heap-allocate on every TLB miss.
+     * One translating access, pooled so the walk-completion event and
+     * the far-fault MSHR waiter are both the POD (fn, this, slot).  The
+     * slot lives from translate() through the walk, any MSHR-full
+     * retries and the far fault, until the access completes.
      */
     struct WalkRequest
     {
@@ -280,11 +277,18 @@ class Gmmu
 
     std::uint32_t allocWalk(const MemAccess &access, AccessDone done);
 
-    /** POD event thunk: pops the slot and runs walkDone. */
+    /** POD event thunk: the walk (or retry) of a slot finished;
+     *  complete the access or take the far-fault path. */
     static void walkDoneThunk(void *gmmu, std::uint64_t slot);
 
-    /** Register a far-fault and wake the fault engine. */
-    void raiseFault(const MemAccess &access, AccessDone done);
+    /** MSHR waiter: the slot's faulting page became valid. */
+    static void faultResolvedThunk(void *gmmu, std::uint64_t slot);
+
+    /** Account the slot's access, free the slot, run its AccessDone. */
+    void finishWalk(std::uint32_t slot);
+
+    /** Register the slot's far-fault and wake the fault engine. */
+    void raiseFault(std::uint32_t slot);
 
     /** Start servicing the next queued fault batch if the engine is
      *  idle. */

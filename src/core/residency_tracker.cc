@@ -167,13 +167,13 @@ ResidencyTracker::touchHierarchy(const PageRec &rec, std::uint8_t b)
 void
 ResidencyTracker::onResident(PageNum page)
 {
-    auto [it, inserted] = slot_of_.try_emplace(page, 0);
+    auto [slot_ref, inserted] = slot_of_.tryEmplace(page);
     if (!inserted)
         panic("page %llu already tracked as resident",
               static_cast<unsigned long long>(page));
 
     std::uint32_t slot = allocPage();
-    it->second = slot;
+    *slot_ref = slot;
 
     std::uint64_t lp = largePageOf(pageBase(page));
     auto [cit, chunk_new] = chunk_of_.try_emplace(lp, 0);
@@ -215,10 +215,10 @@ ResidencyTracker::onResident(PageNum page)
 void
 ResidencyTracker::onAccess(PageNum page)
 {
-    auto it = slot_of_.find(page);
-    if (it == slot_of_.end())
+    const std::uint32_t *found = slot_of_.find(page);
+    if (!found)
         return; // access raced with an eviction decision; harmless
-    std::uint32_t slot = it->second;
+    std::uint32_t slot = *found;
     if (slot != page_head_) {
         unlinkPage(slot);
         linkPageFront(slot);
@@ -229,11 +229,11 @@ ResidencyTracker::onAccess(PageNum page)
 void
 ResidencyTracker::onEvicted(PageNum page)
 {
-    auto it = slot_of_.find(page);
-    if (it == slot_of_.end())
+    const std::uint32_t *found = slot_of_.find(page);
+    if (!found)
         panic("evicting untracked page %llu",
               static_cast<unsigned long long>(page));
-    std::uint32_t slot = it->second;
+    std::uint32_t slot = *found;
     PageRec &rec = page_recs_[slot];
 
     unlinkPage(slot);
@@ -269,14 +269,14 @@ ResidencyTracker::onEvicted(PageNum page)
     page_recs_[last].rand_idx = idx;
     random_pool_.pop_back();
 
-    slot_of_.erase(it);
+    slot_of_.erase(page);
     freePage(slot);
 }
 
 bool
 ResidencyTracker::isTracked(PageNum page) const
 {
-    return slot_of_.count(page) > 0;
+    return slot_of_.contains(page);
 }
 
 std::optional<PageNum>
@@ -421,8 +421,8 @@ ResidencyTracker::checkConsistent() const
         const PageRec &rec = page_recs_[slot];
         if (rec.prev != prev)
             return false;
-        auto it = slot_of_.find(rec.page);
-        if (it == slot_of_.end() || it->second != slot)
+        const std::uint32_t *found = slot_of_.find(rec.page);
+        if (!found || *found != slot)
             return false;
         if (rec.rand_idx >= random_pool_.size() ||
             random_pool_[rec.rand_idx] != slot)

@@ -18,9 +18,10 @@
  *
  * All three recency orders are intrusive doubly-linked lists threaded
  * through flat record arenas by 32-bit index links -- no std::list
- * nodes, no per-page heap allocation, and exactly one hash lookup per
- * tracker operation (a page's record caches its owning chunk's arena
- * slot, so the hierarchical touch needs no chunk hash at all).  Blocks
+ * nodes, no per-page heap allocation, and a touch is one dense-map
+ * index (page -> arena slot) with no hashing: a page's record caches
+ * its owning chunk's arena slot, so the hierarchical touch needs no
+ * chunk lookup at all.  Blocks
  * live in a fixed 32-entry array inside their chunk record with a
  * 16-bit resident-page bitmap each, making block membership queries
  * pure bit tests.
@@ -33,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "mem/page_map.hh"
 #include "mem/types.hh"
 #include "sim/rng.hh"
 
@@ -174,7 +176,7 @@ class ResidencyTracker
     std::uint32_t page_free_ = npos;
     std::uint32_t page_head_ = npos;
     std::uint32_t page_tail_ = npos;
-    std::unordered_map<PageNum, std::uint32_t> slot_of_;
+    PageMap<std::uint32_t> slot_of_;
 
     // ---- hierarchical structures (chunk MRU at head) ----
     std::vector<ChunkRec> chunk_recs_;

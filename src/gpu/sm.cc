@@ -110,10 +110,23 @@ Sm::issueOpThunk(void *sm, std::uint64_t warp)
 }
 
 void
-Sm::accessDoneThunk(void *sm, std::uint64_t warp)
+Sm::opDoneThunk(void *sm, std::uint64_t warp)
 {
-    static_cast<Sm *>(sm)->accessDone(
-        reinterpret_cast<WarpCtx *>(warp));
+    static_cast<Sm *>(sm)->stepWarp(reinterpret_cast<WarpCtx *>(warp));
+}
+
+void
+Sm::walkedThunk(void *sm, std::uint64_t slot64)
+{
+    auto *self = static_cast<Sm *>(sm);
+    auto slot = static_cast<std::uint32_t>(slot64);
+    // Copy out before freeing: memoryStage may grow pending_.
+    const MemAccess done = self->pending_[slot].access;
+    WarpCtx *warp = self->pending_[slot].warp;
+    self->pending_[slot].next = self->pending_free_;
+    self->pending_free_ = slot;
+    self->tlb_.insert(pageOf(done.addr));
+    self->memoryStage(done, warp);
 }
 
 std::uint32_t
@@ -141,9 +154,10 @@ Sm::issueOp(WarpCtx *warp)
     }
     warp->outstanding =
         static_cast<std::uint32_t>(warp->op.accesses.size());
-    // Issue in place: every completion arrives through an event
-    // (memoryStage and Gmmu::translate always schedule), so warp->op
-    // cannot advance during this loop.
+    warp->done_when = 0;
+    // Issue in place: the op completes through an event (memoryStage
+    // and Gmmu::translate always schedule), so warp->op cannot advance
+    // during this loop.
     for (const TraceAccess &access : warp->op.accesses)
         performAccess(warp, access);
 }
@@ -168,16 +182,7 @@ Sm::performAccess(WarpCtx *warp, const TraceAccess &access)
         gmmu_.recordAccess(m);
         memoryStage(m, warp);
     } else {
-        std::uint32_t slot = allocPending(m, warp);
-        gmmu_.translate(m, [this, slot]() {
-            // Copy out before freeing: memoryStage may grow pending_.
-            MemAccess done = pending_[slot].access;
-            WarpCtx *w = pending_[slot].warp;
-            pending_[slot].next = pending_free_;
-            pending_free_ = slot;
-            tlb_.insert(pageOf(done.addr));
-            memoryStage(done, w);
-        });
+        gmmu_.translate(m, {&Sm::walkedThunk, this, allocPending(m, warp)});
     }
 }
 
@@ -215,18 +220,21 @@ Sm::memoryStage(const MemAccess &access, WarpCtx *warp)
             completion = std::max(completion, fill + l2_hit_latency_);
         }
     }
-    eq_.scheduleCall(completion, &Sm::accessDoneThunk, this,
-                     reinterpret_cast<std::uint64_t>(warp));
-}
-
-void
-Sm::accessDone(WarpCtx *warp)
-{
+    // Seqs only grow, so the latest key is the latest tick, ties going
+    // to the later access.
+    const std::uint64_t seq = eq_.reserveSeq();
+    if (completion >= warp->done_when) {
+        warp->done_when = completion;
+        warp->done_seq = seq;
+    }
     if (warp->outstanding == 0)
-        panic("access completion with none outstanding (warp %llu)",
+        panic("memory stage with no access outstanding (warp %llu)",
               static_cast<unsigned long long>(warp->id));
-    if (--warp->outstanding == 0)
-        stepWarp(warp);
+    if (--warp->outstanding == 0) {
+        eq_.scheduleReserved(warp->done_when, warp->done_seq,
+                             &Sm::opDoneThunk, this,
+                             reinterpret_cast<std::uint64_t>(warp));
+    }
 }
 
 void

@@ -90,8 +90,12 @@ class Sm
         std::unique_ptr<WarpTrace> trace;
         BlockCtx *block;
         WarpOp op;
+        /** Accesses of the op that have not passed memoryStage yet. */
         std::uint32_t outstanding = 0;
         bool retired = false;
+        /** The op's latest completion key so far: (tick, reserved seq). */
+        Tick done_when = 0;
+        std::uint64_t done_seq = 0;
     };
 
     /** Pull and schedule the warp's next op. */
@@ -103,22 +107,25 @@ class Sm
     /** Route one coalesced access through TLB / GMMU / memory. */
     void performAccess(WarpCtx *warp, const TraceAccess &access);
 
-    /** Charge L2/DRAM time for a translated access; completion wakes
-     *  the warp via the POD event path. */
+    /**
+     * Charge L1/L2/DRAM time for a translated access.  Each access
+     * reserves the event seq its own completion would have taken; when
+     * the op's last access passes, one event at the latest (tick, seq)
+     * wakes the warp -- the place where the op's last per-access
+     * completion would have fired.
+     */
     void memoryStage(const MemAccess &access, WarpCtx *warp);
-
-    /** One access of the current op finished. */
-    void accessDone(WarpCtx *warp);
 
     /** POD event thunks (EventQueue fast path; arg = WarpCtx*). */
     static void issueOpThunk(void *sm, std::uint64_t warp);
-    static void accessDoneThunk(void *sm, std::uint64_t warp);
+    static void opDoneThunk(void *sm, std::uint64_t warp);
+
+    /** Translation continuation (arg = pending_ slot). */
+    static void walkedThunk(void *sm, std::uint64_t slot);
 
     /**
-     * One TLB-missing access parked in the GMMU: kept in a free-list
-     * pool so the translate-done closure captures only (this, slot)
-     * and fits std::function's small-buffer storage -- no heap
-     * allocation per miss.
+     * One TLB-missing access parked in the GMMU, kept in a free-list
+     * pool so the translate continuation is the POD (this, slot).
      */
     struct PendingAccess
     {

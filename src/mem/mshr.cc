@@ -22,7 +22,7 @@ FarFaultMshr::registerFault(PageNum page, Waiter on_resolved)
 {
     auto [it, inserted] = entries_.try_emplace(page);
     if (on_resolved) {
-        it->second.push_back(std::move(on_resolved));
+        it->second.push_back(on_resolved);
         ++waiter_count_;
     }
     if (inserted) {

@@ -12,11 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "mem/types.hh"
+#include "sim/event_queue.hh"
 #include "sim/stats.hh"
 
 namespace uvmsim
@@ -26,8 +26,8 @@ namespace uvmsim
 class FarFaultMshr
 {
   public:
-    /** Callback replayed when the page becomes valid. */
-    using Waiter = std::function<void()>;
+    /** Continuation replayed when the page becomes valid. */
+    using Waiter = EventQueue::Thunk;
 
     FarFaultMshr();
 
@@ -36,7 +36,7 @@ class FarFaultMshr
      *
      * @param page        Faulting virtual page.
      * @param on_resolved Invoked (via complete()) when the page becomes
-     *                    valid.
+     *                    valid; an empty Waiter parks nothing.
      * @return true if this is the first (primary) fault for the page --
      *         i.e. the caller must initiate a migration; false when it
      *         merged into an existing entry.

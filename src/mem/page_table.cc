@@ -14,8 +14,7 @@ PageTable::PageTable()
 const Pte *
 PageTable::lookup(PageNum page) const
 {
-    auto it = table_.find(page);
-    return it == table_.end() ? nullptr : &it->second;
+    return table_.find(page);
 }
 
 bool
@@ -25,10 +24,11 @@ PageTable::isValid(PageNum page) const
     return pte && pte->valid;
 }
 
-Pte &
-PageTable::entryFor(PageNum page)
+Pte *
+PageTable::validEntry(PageNum page)
 {
-    return table_[page];
+    Pte *pte = table_.find(page);
+    return pte && pte->valid ? pte : nullptr;
 }
 
 void
@@ -38,7 +38,7 @@ PageTable::mapPage(PageNum page, FrameNum frame)
         panic("mapPage with invalid frame (page %llu)",
               static_cast<unsigned long long>(page));
 
-    Pte &pte = entryFor(page);
+    Pte &pte = *table_.tryEmplace(page).first;
     if (pte.valid)
         panic("double mapping of page %llu",
               static_cast<unsigned long long>(page));
@@ -53,14 +53,14 @@ PageTable::mapPage(PageNum page, FrameNum frame)
 FrameNum
 PageTable::invalidatePage(PageNum page)
 {
-    auto it = table_.find(page);
-    if (it == table_.end() || !it->second.valid)
+    Pte *pte = validEntry(page);
+    if (!pte)
         return invalidFrame;
-    FrameNum frame = it->second.frame;
-    it->second.valid = false;
-    it->second.frame = invalidFrame;
-    it->second.dirty = false;
-    it->second.accessed = false;
+    FrameNum frame = pte->frame;
+    pte->valid = false;
+    pte->frame = invalidFrame;
+    pte->dirty = false;
+    pte->accessed = false;
     --valid_pages_;
     ++invalidations_;
     return frame;
@@ -69,22 +69,22 @@ PageTable::invalidatePage(PageNum page)
 void
 PageTable::markAccessed(PageNum page)
 {
-    auto it = table_.find(page);
-    if (it == table_.end() || !it->second.valid)
+    Pte *pte = validEntry(page);
+    if (!pte)
         panic("markAccessed on invalid page %llu",
               static_cast<unsigned long long>(page));
-    it->second.accessed = true;
+    pte->accessed = true;
 }
 
 void
 PageTable::markDirty(PageNum page)
 {
-    auto it = table_.find(page);
-    if (it == table_.end() || !it->second.valid)
+    Pte *pte = validEntry(page);
+    if (!pte)
         panic("markDirty on invalid page %llu",
               static_cast<unsigned long long>(page));
-    it->second.accessed = true;
-    it->second.dirty = true;
+    pte->accessed = true;
+    pte->dirty = true;
 }
 
 bool

@@ -4,16 +4,17 @@
  *
  * Maps virtual page numbers to device frames with the valid / dirty /
  * accessed flags the paper's policies consult.  Following the paper we
- * model the translation structure functionally (a flat map) and charge
- * walk latency separately (100 core cycles, Table 2) in the GMMU.
+ * model the translation structure functionally (a dense page-indexed
+ * map) and charge walk latency separately (100 core cycles, Table 2)
+ * in the GMMU.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 
+#include "mem/page_map.hh"
 #include "mem/types.hh"
 #include "sim/stats.hh"
 
@@ -83,9 +84,10 @@ class PageTable
     void registerStats(stats::StatRegistry &registry);
 
   private:
-    Pte &entryFor(PageNum page);
+    /** The page's entry when it is valid, else nullptr. */
+    Pte *validEntry(PageNum page);
 
-    std::unordered_map<PageNum, Pte> table_;
+    PageMap<Pte> table_;
     std::uint64_t valid_pages_ = 0;
 
     stats::Counter mappings_;

@@ -8,7 +8,20 @@ namespace uvmsim
 {
 
 EventQueue::EventId
-EventQueue::scheduleCall(Tick when, Fn fn, void *ctx, std::uint64_t arg)
+EventQueue::scheduleReserved(Tick when, std::uint64_t seq, Fn fn,
+                             void *ctx, std::uint64_t arg)
+{
+    if (seq == 0 || seq >= next_seq_) {
+        panic("event scheduled under unreserved seq %llu (next %llu)",
+              static_cast<unsigned long long>(seq),
+              static_cast<unsigned long long>(next_seq_));
+    }
+    return push(when, seq, fn, ctx, arg);
+}
+
+EventQueue::EventId
+EventQueue::push(Tick when, std::uint64_t seq, Fn fn, void *ctx,
+                 std::uint64_t arg)
 {
     if (when < cur_tick_) {
         panic("event scheduled in the past (when=%llu cur=%llu)",
@@ -31,7 +44,7 @@ EventQueue::scheduleCall(Tick when, Fn fn, void *ctx, std::uint64_t arg)
     ++live_;
 
     // Sift the new key up from a hole at the end.
-    const Key key{when, next_seq_++, slot};
+    const Key key{when, seq, slot};
     std::size_t i = heap_.size();
     heap_.emplace_back();
     while (i > 0) {

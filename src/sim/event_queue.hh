@@ -43,6 +43,21 @@ class EventQueue
     /** The function an event runs: fn(ctx, arg). */
     using Fn = void (*)(void *ctx, std::uint64_t arg);
 
+    /**
+     * A fn(ctx, arg) call held outside the queue: the continuation a
+     * component parks while it waits (a page walk, a far fault) and
+     * runs, or schedules, when the wait ends.
+     */
+    struct Thunk
+    {
+        Fn fn = nullptr;
+        void *ctx = nullptr;
+        std::uint64_t arg = 0;
+
+        explicit operator bool() const { return fn != nullptr; }
+        void operator()() const { fn(ctx, arg); }
+    };
+
     /** Handle value that never names a live event. */
     static constexpr EventId invalidEventId = 0;
 
@@ -61,7 +76,11 @@ class EventQueue
      * @param when Absolute firing time; must be >= curTick().
      * @return A handle usable with deschedule().
      */
-    EventId scheduleCall(Tick when, Fn fn, void *ctx, std::uint64_t arg);
+    EventId
+    scheduleCall(Tick when, Fn fn, void *ctx, std::uint64_t arg)
+    {
+        return push(when, next_seq_++, fn, ctx, arg);
+    }
 
     /** Schedule fn(ctx, arg) relative to the current tick. */
     EventId
@@ -69,6 +88,22 @@ class EventQueue
     {
         return scheduleCall(cur_tick_ + delay, fn, ctx, arg);
     }
+
+    /**
+     * Take the insertion-order number scheduleCall() would take now,
+     * without scheduling anything.  A component that may or may not
+     * need an event later reserves its place in the total order here
+     * and schedules it with scheduleReserved().
+     */
+    std::uint64_t reserveSeq() { return next_seq_++; }
+
+    /**
+     * Schedule fn(ctx, arg) under a seq from reserveSeq(): it fires
+     * exactly where a scheduleCall() made at reservation time would
+     * have.  Panics on a seq that was never reserved or a past tick.
+     */
+    EventId scheduleReserved(Tick when, std::uint64_t seq, Fn fn, void *ctx,
+                             std::uint64_t arg);
 
     /**
      * Cancel a previously scheduled event.
@@ -143,6 +178,10 @@ class EventQueue
         arena_[slot].next = free_head_;
         free_head_ = slot;
     }
+
+    /** Insert a record under the key (when, seq). */
+    EventId push(Tick when, std::uint64_t seq, Fn fn, void *ctx,
+                 std::uint64_t arg);
 
     /** Remove the heap's top key. */
     void popTop();

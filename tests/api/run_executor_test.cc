@@ -235,7 +235,7 @@ TEST(RunExecutor, StoreReadThroughAndWriteBack)
         exec.attachStore(&store);
         std::atomic<int> progress_calls{0};
         auto replayed = exec.runBatch(
-            {job}, [&](const RunJob &, std::size_t) {
+            {job}, [&](const RunJob &, std::size_t, std::size_t) {
                 ++progress_calls;
             });
         EXPECT_EQ(store.counters().hits, 1u);

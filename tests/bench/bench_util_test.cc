@@ -55,6 +55,33 @@ TEST(BenchUtil, RunAllKeepsSubmissionOrderAndSharesDuplicates)
     EXPECT_EQ(results[2].kernel_time, results[0].kernel_time);
 }
 
+TEST(BenchUtil, RunAllProgressCountsStartedSimulations)
+{
+    const char *argv[] = {"prog", "--jobs=1"};
+    Options opts(2, argv);
+
+    WorkloadParams p;
+    p.size_scale = 0.1;
+    SimConfig cfg;
+    cfg.gpu.num_sms = 4;
+
+    // Five cells, two distinct: the counter divides by the two
+    // simulations that start, not by the five queued cells.
+    std::vector<RunJob> jobs = {{"backprop", cfg, p},
+                                {"pathfinder", cfg, p},
+                                {"backprop", cfg, p},
+                                {"pathfinder", cfg, p},
+                                {"backprop", cfg, p}};
+    testing::internal::CaptureStderr();
+    runAll(jobs, opts);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("[bench 1/2] backprop"), std::string::npos) << err;
+    EXPECT_NE(err.find("[bench 2/2] pathfinder"), std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("/5]"), std::string::npos) << err;
+    EXPECT_EQ(err.find("[bench 3/"), std::string::npos) << err;
+}
+
 TEST(BenchUtil, FormatHelpers)
 {
     EXPECT_EQ(fmt(1.23456, 2), "1.23");

@@ -14,6 +14,8 @@
 #include "core/gmmu.hh"
 #include "sim/ticks.hh"
 
+#include "closure_events.hh"
+
 namespace uvmsim
 {
 
@@ -214,6 +216,7 @@ namespace
 struct AuditedHarness
 {
     EventQueue eq;
+    Closures closures;
     PcieLink pcie;
     FrameAllocator frames;
     PageTable pt;
@@ -235,7 +238,7 @@ struct AuditedHarness
         m.size = 128;
         m.is_write = write;
         bool done = false;
-        gmmu.translate(m, [&] { done = true; });
+        gmmu.translate(m, closures.thunk([&] { done = true; }));
         eq.run();
         ASSERT_TRUE(done);
     }

@@ -8,6 +8,8 @@
 #include "core/gmmu.hh"
 #include "sim/ticks.hh"
 
+#include "closure_events.hh"
+
 namespace uvmsim
 {
 
@@ -218,6 +220,7 @@ TEST(TbneInflight, EvictionDuringMigrationKeepsResidencyExact)
     cfg.audit = true;
 
     EventQueue eq;
+    Closures closures;
     PcieLink pcie(eq, PcieBandwidthModel{});
     FrameAllocator frames(2 * pagesPerBasicBlock); // two blocks fit
     PageTable pt;
@@ -237,7 +240,7 @@ TEST(TbneInflight, EvictionDuringMigrationKeepsResidencyExact)
         m.size = 128;
         m.is_write = false;
         bool done = false;
-        gmmu.translate(m, [&] { done = true; });
+        gmmu.translate(m, closures.thunk([&] { done = true; }));
         eq.run();
         EXPECT_TRUE(done);
     };

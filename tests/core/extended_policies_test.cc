@@ -14,6 +14,8 @@
 #include "core/prefetcher.hh"
 #include "interconnect/pcie_link.hh"
 
+#include "closure_events.hh"
+
 namespace uvmsim
 {
 
@@ -130,6 +132,7 @@ TEST(ExtendedPolicies, MruKeepsLoopPrefixResident)
     // to keeping a stable prefix while LRU thrashes everything.
     for (EvictionKind kind : {EvictionKind::mru4k, EvictionKind::lru4k}) {
         EventQueue eq;
+        Closures closures;
         PcieLink pcie(eq, PcieBandwidthModel{});
         FrameAllocator frames(8);
         PageTable pt;
@@ -150,7 +153,7 @@ TEST(ExtendedPolicies, MruKeepsLoopPrefixResident)
                 m.addr = alloc.base() + i * pageSize;
                 m.size = 128;
                 bool done = false;
-                gmmu.translate(m, [&] { done = true; });
+                gmmu.translate(m, closures.thunk([&] { done = true; }));
                 eq.run();
                 ASSERT_TRUE(done);
             }
@@ -171,6 +174,7 @@ TEST(ExtendedPolicies, WholeUnitWritebackKnobAblates)
     // With the knob off, SLe eviction of clean blocks writes nothing.
     for (bool whole : {true, false}) {
         EventQueue eq;
+        Closures closures;
         PcieLink pcie(eq, PcieBandwidthModel{});
         FrameAllocator frames(2 * pagesPerBasicBlock);
         PageTable pt;
@@ -188,7 +192,7 @@ TEST(ExtendedPolicies, WholeUnitWritebackKnobAblates)
             m.addr = alloc.base() + b * basicBlockSize;
             m.size = 128;
             bool done = false;
-            gmmu.translate(m, [&] { done = true; });
+            gmmu.translate(m, closures.thunk([&] { done = true; }));
             eq.run();
             ASSERT_TRUE(done);
         }

@@ -12,6 +12,8 @@
 #include "core/gmmu.hh"
 #include "interconnect/pcie_link.hh"
 
+#include "closure_events.hh"
+
 namespace uvmsim
 {
 
@@ -21,6 +23,7 @@ namespace
 struct EngineHarness
 {
     EventQueue eq;
+    Closures closures;
     PcieLink pcie;
     FrameAllocator frames;
     PageTable pt;
@@ -53,7 +56,7 @@ TEST(FaultEngine, BatchingResolvesSeveralFaultsPerWindow)
             MemAccess m;
             m.addr = alloc.base() + i * basicBlockSize;
             m.size = 128;
-            h.gmmu.translate(m, [&done] { ++done; });
+            h.gmmu.translate(m, h.closures.thunk([&done] { ++done; }));
         }
         h.eq.run();
         EXPECT_EQ(done, 8);
@@ -89,7 +92,7 @@ TEST(FaultEngine, BatchMembersCoveredByEarlierPrefetchAreSkipped)
         MemAccess m;
         m.addr = alloc.base() + i * pageSize;
         m.size = 128;
-        h.gmmu.translate(m, [&done] { ++done; });
+        h.gmmu.translate(m, h.closures.thunk([&done] { ++done; }));
     }
     h.eq.run();
     EXPECT_EQ(done, 4);
@@ -111,7 +114,7 @@ TEST(FaultEngine, JitterZeroMatchesFixedLatency)
         MemAccess m;
         m.addr = alloc.base();
         m.size = 128;
-        h.gmmu.translate(m, [] {});
+        h.gmmu.translate(m, h.closures.thunk([] {}));
         h.eq.run();
         return h.eq.curTick();
     };
@@ -131,7 +134,7 @@ TEST(FaultEngine, JitterIsSeedDeterministicAndBounded)
             MemAccess m;
             m.addr = alloc.base() + i * basicBlockSize;
             m.size = 128;
-            h.gmmu.translate(m, [] {});
+            h.gmmu.translate(m, h.closures.thunk([] {}));
             h.eq.run();
         }
         return h.eq.curTick();
@@ -155,6 +158,7 @@ TEST(FaultEngine, TrimmedPrefetchKeepsFaultNeighborhood)
     EngineHarness h2(cfg);
     (void)h2; // silence unused in case of refactors
     EventQueue eq;
+    Closures closures;
     PcieLink pcie(eq, PcieBandwidthModel{});
     FrameAllocator frames(64); // trim limit = 32 pages
     PageTable pt;
@@ -169,7 +173,7 @@ TEST(FaultEngine, TrimmedPrefetchKeepsFaultNeighborhood)
     m.addr = alloc.base() + kib(512);
     m.size = 128;
     bool done = false;
-    gmmu.translate(m, [&done] { done = true; });
+    gmmu.translate(m, closures.thunk([&done] { done = true; }));
     eq.run();
     EXPECT_TRUE(done);
     EXPECT_DOUBLE_EQ(reg.at("gmmu.prefetches_trimmed").value(), 1.0);

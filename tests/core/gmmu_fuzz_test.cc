@@ -21,6 +21,8 @@
 #include "interconnect/pcie_link.hh"
 #include "testing/workload_gen.hh"
 
+#include "closure_events.hh"
+
 namespace uvmsim
 {
 
@@ -55,6 +57,7 @@ void
 stressWithSpec(const fuzzing::FuzzSpec &spec, std::uint64_t frames_total)
 {
     EventQueue eq;
+    Closures closures;
     PcieLink pcie(eq, PcieBandwidthModel{});
     FrameAllocator frames(frames_total);
     PageTable pt;
@@ -80,7 +83,7 @@ stressWithSpec(const fuzzing::FuzzSpec &spec, std::uint64_t frames_total)
         m.size = 128;
         m.is_write = access.is_write;
         ++issued;
-        gmmu.translate(m, [&completions] { ++completions; });
+        gmmu.translate(m, closures.thunk([&completions] { ++completions; }));
         if (++in_burst >= burst_size) {
             eq.run();
             in_burst = 0;
@@ -191,6 +194,7 @@ TEST_P(GmmuFuzz, DeterministicUnderSameSeed)
 
     auto runOnce = [&]() {
         EventQueue eq;
+        Closures closures;
         PcieLink pcie(eq, PcieBandwidthModel{});
         FrameAllocator frames(64);
         PageTable pt;
@@ -216,7 +220,7 @@ TEST_P(GmmuFuzz, DeterministicUnderSameSeed)
             m.addr = access.addr;
             m.size = 128;
             m.is_write = access.is_write;
-            gmmu.translate(m, [] {});
+            gmmu.translate(m, closures.thunk([] {}));
             if (++i % 16 == 0)
                 eq.run();
         }

@@ -8,6 +8,8 @@
 
 #include "core/gmmu.hh"
 
+#include "closure_events.hh"
+
 namespace uvmsim
 {
 
@@ -18,6 +20,7 @@ namespace
 struct Harness
 {
     EventQueue eq;
+    Closures closures;
     PcieLink pcie;
     FrameAllocator frames;
     PageTable pt;
@@ -50,7 +53,7 @@ struct Harness
     {
         std::optional<Tick> done_at;
         gmmu.translate(accessTo(addr, write),
-                       [&] { done_at = eq.curTick(); });
+                       closures.thunk([&] { done_at = eq.curTick(); }));
         eq.run();
         EXPECT_TRUE(done_at.has_value());
         return *done_at;
@@ -116,9 +119,12 @@ TEST(Gmmu, ConcurrentFaultsToSamePageMerge)
     auto &alloc = h.space.allocate(mib(2), "a");
 
     int completions = 0;
-    h.gmmu.translate(h.accessTo(alloc.base()), [&] { ++completions; });
-    h.gmmu.translate(h.accessTo(alloc.base() + 4), [&] { ++completions; });
-    h.gmmu.translate(h.accessTo(alloc.base() + 8), [&] { ++completions; });
+    h.gmmu.translate(h.accessTo(alloc.base()),
+                     h.closures.thunk([&] { ++completions; }));
+    h.gmmu.translate(h.accessTo(alloc.base() + 4),
+                     h.closures.thunk([&] { ++completions; }));
+    h.gmmu.translate(h.accessTo(alloc.base() + 8),
+                     h.closures.thunk([&] { ++completions; }));
     h.eq.run();
     EXPECT_EQ(completions, 3);
     EXPECT_EQ(h.gmmu.faultServices(), 1u); // one migration, two merges
@@ -135,7 +141,7 @@ TEST(Gmmu, FaultServicesSerializeAtFaultLatency)
     for (int i = 0; i < 3; ++i) {
         h.gmmu.translate(
             h.accessTo(alloc.base() + i * basicBlockSize),
-            [&] { done.push_back(h.eq.curTick()); });
+            h.closures.thunk([&] { done.push_back(h.eq.curTick()); }));
     }
     h.eq.run();
     ASSERT_EQ(done.size(), 3u);
@@ -157,9 +163,10 @@ TEST(Gmmu, PrefetchedPageFaultSkipsService)
     auto &alloc = h.space.allocate(mib(2), "a");
 
     int completions = 0;
-    h.gmmu.translate(h.accessTo(alloc.base()), [&] { ++completions; });
+    h.gmmu.translate(h.accessTo(alloc.base()),
+                     h.closures.thunk([&] { ++completions; }));
     h.gmmu.translate(h.accessTo(alloc.base() + pageSize),
-                     [&] { ++completions; });
+                     h.closures.thunk([&] { ++completions; }));
     h.eq.run();
     EXPECT_EQ(completions, 2);
     EXPECT_EQ(h.pt.validPages(), pagesPerBasicBlock);
@@ -332,7 +339,7 @@ TEST(Gmmu, UnmanagedFaultDies)
     Harness h(64);
     ASSERT_EXIT(
         {
-            h.gmmu.translate(h.accessTo(0xdead000), [] {});
+            h.gmmu.translate(h.accessTo(0xdead000), h.closures.thunk([] {}));
             h.eq.run();
         },
         ::testing::KilledBySignal(SIGABRT), "unmanaged");

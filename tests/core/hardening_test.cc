@@ -13,6 +13,8 @@
 #include "gpu/gpu.hh"
 #include "interconnect/pcie_link.hh"
 
+#include "closure_events.hh"
+
 namespace uvmsim
 {
 
@@ -22,6 +24,7 @@ namespace
 struct MiniSystem
 {
     EventQueue eq;
+    Closures closures;
     PcieLink pcie;
     FrameAllocator frames;
     PageTable pt;
@@ -44,7 +47,7 @@ struct MiniSystem
         m.size = 128;
         m.is_write = write;
         bool done = false;
-        gmmu.translate(m, [&done] { done = true; });
+        gmmu.translate(m, closures.thunk([&done] { done = true; }));
         eq.run();
         return done;
     }

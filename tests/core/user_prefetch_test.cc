@@ -7,6 +7,8 @@
 #include "core/gmmu.hh"
 #include "interconnect/pcie_link.hh"
 
+#include "closure_events.hh"
+
 namespace uvmsim
 {
 
@@ -16,6 +18,7 @@ namespace
 struct PrefetchHarness
 {
     EventQueue eq;
+    Closures closures;
     PcieLink pcie;
     FrameAllocator frames;
     PageTable pt;
@@ -94,7 +97,7 @@ TEST(UserPrefetch, FaultDuringInFlightPrefetchMerges)
     MemAccess m;
     m.addr = alloc.base() + kib(512);
     m.size = 128;
-    h.gmmu.translate(m, [&] { done = true; });
+    h.gmmu.translate(m, h.closures.thunk([&] { done = true; }));
     h.eq.run();
     EXPECT_TRUE(done);
     // The merged fault must not have triggered a second migration.

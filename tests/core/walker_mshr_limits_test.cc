@@ -7,6 +7,8 @@
 #include "core/gmmu.hh"
 #include "interconnect/pcie_link.hh"
 
+#include "closure_events.hh"
+
 namespace uvmsim
 {
 
@@ -16,6 +18,7 @@ namespace
 struct LimitHarness
 {
     EventQueue eq;
+    Closures closures;
     PcieLink pcie;
     FrameAllocator frames;
     PageTable pt;
@@ -60,7 +63,9 @@ TEST(WalkerPool, SingleWalkerSerializesWalks)
         MemAccess m;
         m.addr = alloc.base() + i * pageSize;
         m.size = 128;
-        h.gmmu.translate(m, [&] { done.push_back(h.eq.curTick()); });
+        h.gmmu.translate(m, h.closures.thunk([&] {
+            done.push_back(h.eq.curTick());
+        }));
     }
     h.eq.run();
     ASSERT_EQ(done.size(), 8u);
@@ -87,7 +92,9 @@ TEST(WalkerPool, ManyWalkersOverlapWalks)
         MemAccess m;
         m.addr = alloc.base() + i * pageSize;
         m.size = 128;
-        h.gmmu.translate(m, [&] { done.push_back(h.eq.curTick()); });
+        h.gmmu.translate(m, h.closures.thunk([&] {
+            done.push_back(h.eq.curTick());
+        }));
     }
     h.eq.run();
     ASSERT_EQ(done.size(), 8u);
@@ -112,7 +119,9 @@ TEST(WalkerPool, ZeroMeansUnlimited)
         MemAccess m;
         m.addr = alloc.base() + i * pageSize;
         m.size = 128;
-        h.gmmu.translate(m, [&] { done.push_back(h.eq.curTick()); });
+        h.gmmu.translate(m, h.closures.thunk([&] {
+            done.push_back(h.eq.curTick());
+        }));
     }
     h.eq.run();
     for (Tick t : done)
@@ -136,7 +145,7 @@ TEST(MshrLimit, FaultsBeyondCapacityRetryAndComplete)
         MemAccess m;
         m.addr = alloc.base() + i * basicBlockSize;
         m.size = 128;
-        h.gmmu.translate(m, [&done] { ++done; });
+        h.gmmu.translate(m, h.closures.thunk([&done] { ++done; }));
     }
     h.eq.run();
     EXPECT_EQ(done, 8);
@@ -162,7 +171,7 @@ TEST(MshrLimit, MergesDoNotCountAgainstCapacity)
         MemAccess m;
         m.addr = alloc.base() + i * 128;
         m.size = 128;
-        h.gmmu.translate(m, [&done] { ++done; });
+        h.gmmu.translate(m, h.closures.thunk([&done] { ++done; }));
     }
     h.eq.run();
     EXPECT_EQ(done, 3);

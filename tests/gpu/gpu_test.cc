@@ -83,7 +83,124 @@ streamKernel(Addr base, std::uint64_t blocks, std::uint32_t warps,
         });
 }
 
+/** One block of one warp running exactly `ops`. */
+std::unique_ptr<GridKernel>
+opsKernel(std::vector<WarpOp> ops)
+{
+    return std::make_unique<GridKernel>(
+        "ops", 1, [ops](std::uint64_t) {
+            std::vector<std::unique_ptr<WarpTrace>> out;
+            out.push_back(std::make_unique<VectorTrace>(ops));
+            return out;
+        });
+}
+
+/** An op of `compute` cycles reading 128B at each address. */
+WarpOp
+readOp(Cycles compute, std::vector<Addr> addrs)
+{
+    WarpOp op;
+    op.compute_cycles = compute;
+    for (Addr a : addrs)
+        op.accesses.push_back(TraceAccess{a, 128, false});
+    return op;
+}
+
+/** What one mixed-op run observed. */
+struct MixedRun
+{
+    std::uint64_t events = 0;    //!< Events executed, whole run.
+    Tick done_at = 0;            //!< Kernel (= last op) completion.
+    Tick fault_accounted = 0;    //!< When the far fault's access ran.
+    std::vector<Tick> accounted; //!< Every access of the mixed op.
+};
+
+/**
+ * One warp: op 1 far-faults page A (its 64KB block migrates, A enters
+ * the TLB); after a long compute burst op 2 mixes TLB hits on A
+ * (1 + extra_hits of them), a walk to B (resident, not in the TLB)
+ * and a walk that far-faults C in another 2MB region.
+ */
+MixedRun
+runMixedOp(std::uint32_t extra_hits)
+{
+    GpuConfig cfg = GpuHarness::smallGpu();
+    cfg.num_sms = 1;
+    GpuHarness h(4096, GmmuConfig{}, cfg);
+    const Addr a = h.space.allocate(mib(4), "a").base();
+    const Addr b = a + pageSize;
+    const Addr c = a + mib(2);
+
+    std::vector<Addr> mixed(1 + extra_hits, a);
+    mixed.push_back(b);
+    mixed.push_back(c);
+    auto kernel = opsKernel({readOp(4, {a}), readOp(100000, mixed)});
+
+    MixedRun run;
+    h.gmmu.setAccessObserver([&](Tick t, PageNum page, bool) {
+        run.accounted.push_back(t);
+        if (page == pageOf(c))
+            run.fault_accounted = t;
+    });
+    h.gpu.launch(*kernel, [&] { run.done_at = h.eq.curTick(); });
+    h.eq.run();
+    run.events = h.eq.executed();
+    run.accounted.erase(run.accounted.begin()); // op 1's access
+    return run;
+}
+
 } // namespace
+
+TEST(Gpu, MixedOpRetiresOnceAtItsLatestCompletion)
+{
+    const MixedRun one = runMixedOp(0);
+    const MixedRun four = runMixedOp(3);
+
+    ASSERT_EQ(one.accounted.size(), 3u);
+    ASSERT_EQ(four.accounted.size(), 6u);
+    ASSERT_GT(one.fault_accounted, 0u);
+    // The far fault is the op's last access, by far: hits and the walk
+    // are accounted when the op issues, the fault a service later.
+    for (Tick t : one.accounted)
+        EXPECT_LE(t, one.fault_accounted);
+    EXPECT_GE(one.fault_accounted - one.accounted.front(),
+              GmmuConfig{}.fault_handling_latency);
+    // The op retires at the far-faulted access's own completion: after
+    // it was accounted, within one memory round trip.
+    EXPECT_GT(one.done_at, one.fault_accounted);
+    EXPECT_LT(one.done_at - one.fault_accounted, microseconds(1));
+
+    // Three more TLB hits in the op add no event: an op has one
+    // completion event however many accesses it issues.
+    EXPECT_EQ(four.events, one.events);
+    EXPECT_EQ(four.done_at, one.done_at);
+    EXPECT_EQ(four.fault_accounted, one.fault_accounted);
+}
+
+TEST(Gpu, EachOpCostsAnIssueAndOneCompletionEvent)
+{
+    // Warm page A into the L1, L2 and TLB, then time kernels whose
+    // ops only hit: an op adds its issue event and one completion,
+    // whatever its access count.
+    auto events = [](std::uint32_t ops, std::uint32_t accesses) {
+        GpuConfig cfg = GpuHarness::smallGpu();
+        cfg.num_sms = 1;
+        GpuHarness h(4096, GmmuConfig{}, cfg);
+        const Addr a = h.space.allocate(mib(2), "a").base();
+        auto warm = opsKernel({readOp(4, {a})});
+        EXPECT_TRUE(h.runKernel(*warm));
+        const std::uint64_t before = h.eq.executed();
+        std::vector<WarpOp> trace(
+            ops, readOp(4, std::vector<Addr>(accesses, a)));
+        auto kernel = opsKernel(std::move(trace));
+        EXPECT_TRUE(h.runKernel(*kernel));
+        return h.eq.executed() - before;
+    };
+    const std::uint64_t base = events(1, 1);
+    EXPECT_EQ(events(1, 8), base);
+    EXPECT_EQ(events(2, 8), base + 2);
+    EXPECT_EQ(events(5, 3), base + 8);
+}
 
 TEST(Gpu, EmptyKernelCompletes)
 {

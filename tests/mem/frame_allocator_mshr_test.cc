@@ -7,8 +7,20 @@
 #include "mem/frame_allocator.hh"
 #include "mem/mshr.hh"
 
+#include "closure_events.hh"
+
 namespace uvmsim
 {
+
+namespace
+{
+
+void noop(void *, std::uint64_t) {}
+
+/** A waiter that replays nothing observable. */
+constexpr FarFaultMshr::Waiter idle{&noop, nullptr, 0};
+
+} // namespace
 
 TEST(FrameAllocator, InitialState)
 {
@@ -85,7 +97,7 @@ TEST(FrameAllocator, StatsTrackActivity)
 TEST(FarFaultMshr, FirstFaultIsPrimary)
 {
     FarFaultMshr mshr;
-    bool primary = mshr.registerFault(5, [] {});
+    bool primary = mshr.registerFault(5, idle);
     EXPECT_TRUE(primary);
     EXPECT_TRUE(mshr.isPending(5));
     EXPECT_EQ(mshr.pendingPages(), 1u);
@@ -95,9 +107,9 @@ TEST(FarFaultMshr, FirstFaultIsPrimary)
 TEST(FarFaultMshr, DuplicateFaultMerges)
 {
     FarFaultMshr mshr;
-    EXPECT_TRUE(mshr.registerFault(5, [] {}));
-    EXPECT_FALSE(mshr.registerFault(5, [] {}));
-    EXPECT_FALSE(mshr.registerFault(5, [] {}));
+    EXPECT_TRUE(mshr.registerFault(5, idle));
+    EXPECT_FALSE(mshr.registerFault(5, idle));
+    EXPECT_FALSE(mshr.registerFault(5, idle));
     EXPECT_EQ(mshr.pendingPages(), 1u);
     EXPECT_EQ(mshr.pendingWaiters(), 3u);
 }
@@ -105,9 +117,10 @@ TEST(FarFaultMshr, DuplicateFaultMerges)
 TEST(FarFaultMshr, CompleteReturnsWaitersInOrder)
 {
     FarFaultMshr mshr;
+    Closures closures;
     std::vector<int> order;
-    mshr.registerFault(5, [&] { order.push_back(1); });
-    mshr.registerFault(5, [&] { order.push_back(2); });
+    mshr.registerFault(5, closures.thunk([&] { order.push_back(1); }));
+    mshr.registerFault(5, closures.thunk([&] { order.push_back(2); }));
     auto waiters = mshr.complete(5);
     ASSERT_EQ(waiters.size(), 2u);
     for (auto &w : waiters)
@@ -128,9 +141,9 @@ TEST(FarFaultMshr, NullWaiterAllowedForPrefetches)
     FarFaultMshr mshr;
     // A prefetched page registers with no waiter: entry exists so
     // later faults merge, but nothing replays.
-    EXPECT_TRUE(mshr.registerFault(9, nullptr));
+    EXPECT_TRUE(mshr.registerFault(9, FarFaultMshr::Waiter{}));
     EXPECT_EQ(mshr.pendingWaiters(), 0u);
-    EXPECT_FALSE(mshr.registerFault(9, nullptr));
+    EXPECT_FALSE(mshr.registerFault(9, FarFaultMshr::Waiter{}));
     EXPECT_TRUE(mshr.complete(9).empty());
 }
 
@@ -139,9 +152,9 @@ TEST(FarFaultMshr, StatsCountPrimaryAndMerged)
     stats::StatRegistry reg;
     FarFaultMshr mshr;
     mshr.registerStats(reg);
-    mshr.registerFault(1, [] {});
-    mshr.registerFault(1, [] {});
-    mshr.registerFault(2, [] {});
+    mshr.registerFault(1, idle);
+    mshr.registerFault(1, idle);
+    mshr.registerFault(2, idle);
     EXPECT_DOUBLE_EQ(reg.at("mshr.primary_faults").value(), 2.0);
     EXPECT_DOUBLE_EQ(reg.at("mshr.merged_faults").value(), 1.0);
     EXPECT_DOUBLE_EQ(reg.at("mshr.max_outstanding").value(), 2.0);

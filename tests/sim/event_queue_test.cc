@@ -5,9 +5,10 @@
  * Besides the basic contract, these pin the properties the heap-ordered
  * queue must keep: total (tick, seq) firing order, determinism of
  * identically fed queues, deschedule semantics against stale handles
- * and reused slots, very wide tick spreads, and -- through a
- * std::set reference model -- arbitrary interleavings of scheduling,
- * cancelling and running.
+ * and reused slots, very wide tick spreads, reserved seqs, and --
+ * through a std::set reference model -- arbitrary interleavings of
+ * scheduling, reserving, scheduling under a reservation, cancelling
+ * and running.
  */
 
 #include <gtest/gtest.h>
@@ -95,6 +96,45 @@ TEST(EventQueue, ScheduleAfterUsesCurrentTick)
     ev.at(100, [&] { ev.after(50, [&] { fired_at = eq.curTick(); }); });
     eq.run();
     EXPECT_EQ(fired_at, 150u);
+}
+
+TEST(EventQueue, ReservedSeqFiresWhereItWasReserved)
+{
+    // A reserved seq keeps its place among same-tick events scheduled
+    // before and after the reservation, as if scheduled at that point.
+    EventQueue eq;
+    std::vector<std::uint64_t> order;
+    eq.scheduleCall(5, &logArg, &order, 1);
+    const std::uint64_t first = eq.reserveSeq();
+    eq.scheduleCall(5, &logArg, &order, 3);
+    const std::uint64_t second = eq.reserveSeq();
+    eq.scheduleCall(4, &logArg, &order, 0);
+    eq.scheduleReserved(5, second, &logArg, &order, 4);
+    eq.scheduleReserved(5, first, &logArg, &order, 2);
+    eq.scheduleCall(5, &logArg, &order, 5);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(eq.executed(), 6u);
+}
+
+TEST(EventQueueDeathTest, ScheduleReservedRejectsUnreservedSeq)
+{
+    EventQueue eq;
+    const std::uint64_t seq = eq.reserveSeq();
+    EXPECT_DEATH(eq.scheduleReserved(1, seq + 1, &nop, nullptr, 0),
+                 "unreserved seq");
+    EXPECT_DEATH(eq.scheduleReserved(1, 0, &nop, nullptr, 0),
+                 "unreserved seq");
+}
+
+TEST(EventQueueDeathTest, ScheduleReservedRejectsPastTick)
+{
+    EventQueue eq;
+    eq.scheduleCall(10, &nop, nullptr, 0);
+    const std::uint64_t seq = eq.reserveSeq();
+    eq.run();
+    EXPECT_DEATH(eq.scheduleReserved(9, seq, &nop, nullptr, 0),
+                 "in the past");
 }
 
 TEST(EventQueue, DescheduleCancelsEvent)
@@ -300,20 +340,33 @@ namespace
 
 /**
  * Drives an EventQueue with random interleavings of scheduleCall,
- * deschedule, runOne and run(limit), checked in lockstep against a
- * std::set of (tick, seq) keys: every firing must be the set's
- * minimum, and pending()/curTick() must match after every operation.
+ * reserveSeq, scheduleReserved, deschedule, runOne and run(limit),
+ * checked in lockstep against a std::set of (tick, seq) keys: every
+ * firing must be the set's minimum, and pending()/curTick() must match
+ * after every operation.  A reservation takes its model seq when it is
+ * reserved, so the oracle fires it exactly where scheduling eagerly at
+ * reservation time would have.
  */
 struct RefModel
 {
+    /** A reservation not scheduled yet: model seq, queue seq. */
+    struct Reservation
+    {
+        std::uint64_t seq;
+        std::uint64_t queue_seq;
+    };
+
     EventQueue eq;
     Rng rng;
     std::set<std::pair<Tick, std::uint64_t>> oracle;
     Tick oracle_tick = 0;
     std::vector<Tick> when_of;             //!< By seq.
     std::vector<EventQueue::EventId> ids;  //!< By seq.
+    std::vector<char> was_reserved;        //!< By seq.
+    std::vector<Reservation> reserved;
     std::vector<std::uint64_t> fired;
     std::uint64_t bad_firings = 0;
+    std::uint64_t reserved_fired = 0;
 
     explicit RefModel(std::uint64_t seed) : rng(seed) {}
 
@@ -322,8 +375,32 @@ struct RefModel
     {
         const std::uint64_t seq = ids.size();
         when_of.push_back(when);
+        was_reserved.push_back(0);
         ids.push_back(eq.scheduleCall(when, &onFire, this, seq));
         oracle.emplace(when, seq);
+    }
+
+    /** Take a seq now; the event gets a tick later. */
+    void
+    reserve()
+    {
+        reserved.push_back(Reservation{ids.size(), eq.reserveSeq()});
+        when_of.push_back(0);
+        was_reserved.push_back(1);
+        ids.push_back(EventQueue::invalidEventId);
+    }
+
+    /** Schedule a random pending reservation at `when`. */
+    void
+    scheduleReserved(Tick when)
+    {
+        const std::size_t r = rng.below(reserved.size());
+        const Reservation res = reserved[r];
+        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(r));
+        when_of[res.seq] = when;
+        ids[res.seq] =
+            eq.scheduleReserved(when, res.queue_seq, &onFire, this, res.seq);
+        oracle.emplace(when, res.seq);
     }
 
     /** A delay mix: same tick, near ticks and far ticks. */
@@ -354,10 +431,25 @@ struct RefModel
         m->oracle.erase(key);
         m->oracle_tick = key.first;
 
-        // Callbacks schedule follow-ups at the current tick and later.
-        const std::uint64_t children = m->rng.below(5) < 2 ? 1 : 0;
-        for (std::uint64_t c = 0; c < children; ++c)
+        if (m->was_reserved[seq])
+            ++m->reserved_fired;
+
+        // Callbacks schedule follow-ups at the current tick and later,
+        // eagerly or under a reservation taken earlier.
+        switch (m->rng.below(5)) {
+        case 0:
             m->add(m->eq.curTick() + m->delay());
+            break;
+        case 1:
+            if (!m->reserved.empty())
+                m->scheduleReserved(m->eq.curTick() + m->delay());
+            break;
+        case 2:
+            m->reserve();
+            break;
+        default:
+            break;
+        }
     }
 };
 
@@ -370,10 +462,15 @@ TEST(EventQueue, MatchesReferenceModelUnderInterleavings)
         std::uint64_t cancels = 0;
         std::uint64_t stale_cancels = 0;
         for (int op = 0; op < 3000; ++op) {
-            const std::uint64_t kind = m.rng.below(10);
+            const std::uint64_t kind = m.rng.below(12);
             if (kind < 4) {
                 m.add(m.eq.curTick() + m.delay());
-            } else if (kind < 6 && !m.ids.empty()) {
+            } else if (kind == 4) {
+                m.reserve();
+            } else if (kind == 5) {
+                if (!m.reserved.empty())
+                    m.scheduleReserved(m.eq.curTick() + m.delay());
+            } else if (kind < 8 && !m.ids.empty()) {
                 // Live, stale (fired or reused slot) or double cancel;
                 // recent events are the likeliest to be live.
                 const std::uint64_t n = m.ids.size();
@@ -386,7 +483,7 @@ TEST(EventQueue, MatchesReferenceModelUnderInterleavings)
                     << "seed " << seed << " op " << op;
                 cancels += live;
                 stale_cancels += !live;
-            } else if (kind < 8) {
+            } else if (kind < 10) {
                 const bool expect = !m.oracle.empty();
                 const std::size_t before = m.fired.size();
                 ASSERT_EQ(m.eq.runOne(), expect);
@@ -404,11 +501,20 @@ TEST(EventQueue, MatchesReferenceModelUnderInterleavings)
             ASSERT_EQ(m.eq.empty(), m.oracle.empty());
             ASSERT_EQ(m.eq.curTick(), m.oracle_tick);
         }
-        m.eq.run();
+        // Drain, scheduling every reservation still open (firings may
+        // open more).
+        while (!m.reserved.empty() || !m.eq.empty()) {
+            if (!m.reserved.empty())
+                m.scheduleReserved(m.eq.curTick() + m.delay());
+            else
+                m.eq.run();
+        }
         EXPECT_EQ(m.bad_firings, 0u);
         EXPECT_TRUE(m.oracle.empty());
         EXPECT_EQ(m.eq.executed(), m.fired.size());
         EXPECT_EQ(m.fired.size() + cancels, m.ids.size());
+        // Reserved events fire in number, a seq old when scheduled.
+        EXPECT_GT(m.reserved_fired, 100u) << "seed " << seed;
         // Both deschedule outcomes are exercised.
         EXPECT_GT(cancels, 50u) << "seed " << seed;
         EXPECT_GT(stale_cancels, 50u) << "seed " << seed;

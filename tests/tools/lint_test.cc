@@ -563,6 +563,40 @@ TEST_F(LintFixture, LifetimeFlagsStackAddressIntoScheduler)
     EXPECT_EQ(f.size(), 1u) << render(f);
 }
 
+TEST_F(LintFixture, LifetimeFlagsStackAddressIntoReservedSeq)
+{
+    write("src/dev.cc",
+          "void armReserved(EventQueue &eq, std::uint64_t seq) {\n"
+          "    int count = 0;\n"
+          "    eq.scheduleReserved(10, seq, onFire, &count, 0);\n"
+          "    eq.scheduleReserved(20, seq, onFire, &config_, 0);\n"
+          "    eq.scheduleReserved(30, seq, onFire, this, 0);\n"
+          "}\n");
+    std::vector<Finding> f = checkLifetime(buildRepoModel(rootStr()));
+    EXPECT_EQ(countMessages(f, "'scheduleReserved' captures the address "
+                               "of stack local 'count'"),
+              1u)
+        << render(f);
+    EXPECT_EQ(f.size(), 1u) << render(f);
+}
+
+TEST_F(LintFixture, LifetimeFlagsStackAddressIntoTranslateContinuation)
+{
+    write("src/dev.cc",
+          "void park(Gmmu &gmmu, const MemAccess &m) {\n"
+          "    Slot slot = {};\n"
+          "    gmmu.translate(m, {&onWalked, &slot, 0});\n"
+          "    gmmu.translate(m, {&Sm::walkedThunk, this, 7});\n"
+          "    gmmu.translate(m, {&onWalked, &pool_, 1});\n"
+          "}\n");
+    std::vector<Finding> f = checkLifetime(buildRepoModel(rootStr()));
+    EXPECT_EQ(countMessages(f, "'translate' captures the address of "
+                               "stack local 'slot'"),
+              1u)
+        << render(f);
+    EXPECT_EQ(f.size(), 1u) << render(f);
+}
+
 TEST_F(LintFixture, LifetimeFlagsRefCaptureIntoScheduler)
 {
     write("src/dev.cc",

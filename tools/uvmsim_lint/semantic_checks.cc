@@ -815,8 +815,11 @@ std::vector<Finding>
 checkLifetime(const Model &model)
 {
     std::vector<Finding> findings;
+    // Calls that park a POD (fn, ctx, arg) past the frame: event
+    // scheduling, and the GMMU translate / MSHR continuations.
     static const std::set<std::string> pod_schedulers = {
-        "scheduleCall", "scheduleCallAfter", "emplacePod"};
+        "scheduleCall", "scheduleCallAfter", "scheduleReserved",
+        "emplacePod",   "translate",         "registerFault"};
     static const std::set<std::string> lambda_schedulers = {
         "schedule", "scheduleAfter", "scheduleCall",
         "scheduleCallAfter"};
@@ -841,7 +844,7 @@ checkLifetime(const Model &model)
                         toks[j + 1].kind != TokKind::Identifier)
                         continue;
                     const std::string &prev = toks[j - 1].text;
-                    if (prev != "," && prev != "(")
+                    if (prev != "," && prev != "(" && prev != "{")
                         continue; // binary &, not address-of an arg
                     const std::string &var = toks[j + 1].text;
                     if (var == "this" || var.back() == '_')
